@@ -3,7 +3,8 @@
 
 use nfp_cc::FloatMode;
 use nfp_core::{calibrate, Calibration, ClassCounter, Classifier, Estimate, NfpError, Paper};
-use nfp_testbed::{HwTotals, Measurement, Testbed};
+use nfp_sim::{NullObserver, Observer};
+use nfp_testbed::{HwTotals, MeasuredRun, Measurement, Testbed};
 use nfp_workloads::{machine_for, Kernel, KERNEL_BUDGET};
 
 /// Float ("with FPU") or fixed ("-msoft-float") kernel variant.
@@ -44,6 +45,11 @@ impl Mode {
     }
 }
 
+/// `<kernel>_<float|fixed>`, the name of one kernel variant.
+fn variant_name(kernel: &Kernel, mode: Mode) -> String {
+    format!("{}_{}", kernel.name, mode.suffix())
+}
+
 /// Everything the pipeline learns about one kernel variant.
 #[derive(Debug, Clone)]
 pub struct KernelResult {
@@ -53,7 +59,8 @@ pub struct KernelResult {
     pub base_name: String,
     /// Variant.
     pub mode: Mode,
-    /// Per-class instruction counts from the ISS.
+    /// Per-class instruction counts from the ISS (the built-in Table I
+    /// counters for [`Evaluation::run_kernel`]).
     pub counts: Vec<u64>,
     /// Model estimate (Eq. 1).
     pub estimate: Estimate,
@@ -66,6 +73,25 @@ pub struct KernelResult {
 }
 
 impl KernelResult {
+    fn new(
+        kernel: &Kernel,
+        mode: Mode,
+        counts: Vec<u64>,
+        model: &nfp_core::CostModel,
+        measured: MeasuredRun,
+    ) -> Self {
+        KernelResult {
+            name: variant_name(kernel, mode),
+            base_name: kernel.name.clone(),
+            mode,
+            estimate: model.estimate(&counts),
+            counts,
+            measured: measured.measurement,
+            totals: measured.totals,
+            instret: measured.run.instret,
+        }
+    }
+
     /// Signed relative time error (Eq. 3).
     pub fn time_error(&self) -> f64 {
         nfp_core::relative_error(self.estimate.time_s, self.measured.time_s)
@@ -96,15 +122,25 @@ impl Evaluation {
         })
     }
 
-    /// Runs one kernel variant through the full pipeline: ISS counting
-    /// pass (verifying functional output), estimation, and measured
-    /// testbed pass.
+    /// Runs one kernel variant through the full pipeline in a single
+    /// simulation: the testbed run measures ground truth and verifies
+    /// the functional output, and the estimate (Eq. 1) comes from that
+    /// run's built-in Table I counters, never from the hardware model.
     pub fn run_kernel(&self, kernel: &Kernel, mode: Mode) -> Result<KernelResult, NfpError> {
-        self.run_kernel_with(kernel, mode, &Paper, &self.calibration.model)
+        let measured = self.run_variant(kernel, mode, &mut NullObserver)?;
+        let counts = measured.run.counts.as_array().to_vec();
+        Ok(KernelResult::new(
+            kernel,
+            mode,
+            counts,
+            &self.calibration.model,
+            measured,
+        ))
     }
 
     /// Like [`Evaluation::run_kernel`] with an explicit classifier and
-    /// model (for the granularity ablation).
+    /// model (for the granularity ablation). A [`ClassCounter`] rides
+    /// the testbed run, so the ablation too simulates each variant once.
     pub fn run_kernel_with<C: Classifier + Clone>(
         &self,
         kernel: &Kernel,
@@ -112,38 +148,41 @@ impl Evaluation {
         classifier: &C,
         model: &nfp_core::CostModel,
     ) -> Result<KernelResult, NfpError> {
-        // Pass 1: fast ISS with per-class counters.
         let mut counter = ClassCounter::new(classifier.clone());
-        let mut machine = machine_for(kernel, mode.float_mode())?;
-        let run = machine.run_observed(KERNEL_BUDGET, &mut counter)?;
-        if run.exit_code != 0 {
-            return Err(NfpError::KernelFailed {
-                kernel: format!("{}_{}", kernel.name, mode.suffix()),
-                exit_code: run.exit_code,
-            });
-        }
-        if run.words != kernel.expected_words {
-            return Err(NfpError::OutputMismatch {
-                kernel: format!("{}_{}", kernel.name, mode.suffix()),
-            });
-        }
-        let counts = counter.counts().to_vec();
-        let estimate = model.estimate(&counts);
-
-        // Pass 2: ground-truth measurement on the virtual board.
-        let mut machine = machine_for(kernel, mode.float_mode())?;
-        let measured = self.testbed.run(&mut machine, kernel.seed, KERNEL_BUDGET)?;
-
-        Ok(KernelResult {
-            name: format!("{}_{}", kernel.name, mode.suffix()),
-            base_name: kernel.name.clone(),
+        let measured = self.run_variant(kernel, mode, &mut counter)?;
+        Ok(KernelResult::new(
+            kernel,
             mode,
-            counts,
-            estimate,
-            measured: measured.measurement,
-            totals: measured.totals,
-            instret: run.instret,
-        })
+            counter.counts().to_vec(),
+            model,
+            measured,
+        ))
+    }
+
+    /// The one stepped run of a kernel variant on the testbed, with
+    /// `extra` riding along, checked for exit code and output words.
+    fn run_variant<O: Observer>(
+        &self,
+        kernel: &Kernel,
+        mode: Mode,
+        extra: &mut O,
+    ) -> Result<MeasuredRun, NfpError> {
+        let mut machine = machine_for(kernel, mode.float_mode())?;
+        let measured = self
+            .testbed
+            .run_with(&mut machine, kernel.seed, KERNEL_BUDGET, extra)?;
+        if measured.run.exit_code != 0 {
+            return Err(NfpError::KernelFailed {
+                kernel: variant_name(kernel, mode),
+                exit_code: measured.run.exit_code,
+            });
+        }
+        if measured.run.words != kernel.expected_words {
+            return Err(NfpError::OutputMismatch {
+                kernel: variant_name(kernel, mode),
+            });
+        }
+        Ok(measured)
     }
 
     /// Runs every kernel in both variants (the paper's M = 2×|kernels|
@@ -171,10 +210,7 @@ impl Evaluation {
             .enumerate()
             .map(|(i, (k, m))| (i, k, m))
             .collect();
-        let names: Vec<String> = jobs
-            .iter()
-            .map(|&(_, k, m)| format!("{}_{}", k.name, m.suffix()))
-            .collect();
+        let names: Vec<String> = jobs.iter().map(|&(_, k, m)| variant_name(k, m)).collect();
         let slots: Vec<Mutex<Option<Result<KernelResult, NfpError>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);

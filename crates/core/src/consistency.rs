@@ -9,7 +9,6 @@
 //! resembles real code rather than a homogeneous loop.
 
 use crate::calibration::Calibration;
-use crate::model::{ClassCounter, Paper};
 use nfp_sim::{Machine, MachineConfig, SimError};
 use nfp_sparc::asm::Assembler;
 use nfp_sparc::cond::ICond;
@@ -178,22 +177,14 @@ pub fn validate(
     tolerance: f64,
 ) -> Result<(Validation, Vec<Finding>), SimError> {
     let words = mixed_kernel(400_000, true);
-    // Counting pass.
     let mut machine = Machine::new(MachineConfig {
         ram_size: 1 << 20,
         ..MachineConfig::default()
     });
     machine.load_image(nfp_sim::RAM_BASE, &words)?;
-    let mut counter = ClassCounter::new(Paper);
-    machine.run_observed(1_000_000_000, &mut counter)?;
-    let estimate = cal.model.estimate(counter.counts());
-    // Measured pass.
-    let mut machine = Machine::new(MachineConfig {
-        ram_size: 1 << 20,
-        ..MachineConfig::default()
-    });
-    machine.load_image(nfp_sim::RAM_BASE, &words)?;
+    // One measured run; the estimate reads its built-in counters.
     let measured = testbed.run(&mut machine, 0xbeef, 1_000_000_000)?;
+    let estimate = cal.model.estimate(measured.run.counts.as_array());
     let validation = Validation {
         time_residual: (estimate.time_s - measured.measurement.time_s)
             / measured.measurement.time_s,
@@ -224,7 +215,7 @@ pub fn validate(
 mod tests {
     use super::*;
     use crate::calibration::calibrate;
-    use crate::model::CostModel;
+    use crate::model::{CostModel, Paper};
 
     #[test]
     fn healthy_calibration_passes_all_checks() {

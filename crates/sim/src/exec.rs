@@ -150,6 +150,24 @@ impl Observer for NullObserver {
     fn observe(&mut self, _info: &ExecInfo) {}
 }
 
+/// A borrowed observer observes for its owner, so a caller can lend
+/// one to a combinator and read it afterwards.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    #[inline(always)]
+    fn observe(&mut self, info: &ExecInfo) {
+        (**self).observe(info);
+    }
+}
+
+/// Two observers on one run: each sees every record, `A` first.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    #[inline(always)]
+    fn observe(&mut self, info: &ExecInfo) {
+        self.0.observe(info);
+        self.1.observe(info);
+    }
+}
+
 /// Non-trap outcome of a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOut {

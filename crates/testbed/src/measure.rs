@@ -16,7 +16,7 @@
 
 use crate::cache::{CacheConfig, CachedHwObserver};
 use crate::hw::{HwModel, HwObserver, HwTotals};
-use nfp_sim::{Machine, RunResult, SimError};
+use nfp_sim::{Machine, NullObserver, Observer, RunResult, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,16 +112,28 @@ impl Testbed {
         seed: u64,
         max_instrs: u64,
     ) -> Result<MeasuredRun, SimError> {
+        self.run_with(machine, seed, max_instrs, &mut NullObserver)
+    }
+
+    /// Like [`Testbed::run`], with `extra` riding the same stepped pass
+    /// after the hardware model: one simulation serves both.
+    pub fn run_with<O: Observer>(
+        &self,
+        machine: &mut Machine,
+        seed: u64,
+        max_instrs: u64,
+        extra: &mut O,
+    ) -> Result<MeasuredRun, SimError> {
         let (run, totals) = match &self.cache {
             None => {
-                let mut observer = HwObserver::new(self.hw.clone());
-                let run = machine.run_observed(max_instrs, &mut observer)?;
-                (run, *observer.totals())
+                let mut observers = (HwObserver::new(self.hw.clone()), extra);
+                let run = machine.run_observed(max_instrs, &mut observers)?;
+                (run, *observers.0.totals())
             }
             Some(cache) => {
-                let mut observer = CachedHwObserver::new(self.hw.clone(), cache.clone());
-                let run = machine.run_observed(max_instrs, &mut observer)?;
-                (run, observer.totals())
+                let mut observers = (CachedHwObserver::new(self.hw.clone(), cache.clone()), extra);
+                let run = machine.run_observed(max_instrs, &mut observers)?;
+                (run, observers.0.totals())
             }
         };
         let measurement = self.measure(&totals, seed);
@@ -187,6 +199,28 @@ mod tests {
         // The measured time is within a tick of the true time.
         let true_t = r.totals.cycles as f64 / tb.hw.clock_hz;
         assert!((r.measurement.time_s - true_t).abs() <= tb.meter.clock_tick_s);
+    }
+
+    #[test]
+    fn run_with_shares_one_pass_with_the_extra_observer() {
+        struct Seen(u64);
+        impl Observer for Seen {
+            fn observe(&mut self, _info: &nfp_sim::ExecInfo) {
+                self.0 += 1;
+            }
+        }
+        let tb = Testbed::new();
+        let machine = || Machine::boot(&spin_program(500));
+        let plain = tb.run(&mut machine(), 3, 1_000_000).unwrap();
+        let mut seen = Seen(0);
+        let fused = tb
+            .run_with(&mut machine(), 3, 1_000_000, &mut seen)
+            .unwrap();
+        assert_eq!(seen.0, fused.run.instret);
+        assert_eq!(fused.run.counts.total(), fused.run.instret);
+        assert_eq!(fused.run.counts, plain.run.counts);
+        assert_eq!(fused.totals, plain.totals);
+        assert_eq!(fused.measurement, plain.measurement);
     }
 
     #[test]

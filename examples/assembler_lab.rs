@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example assembler_lab`
 
-use nfp_repro::core::{calibrate, ClassCounter, Paper};
+use nfp_repro::core::{calibrate, Paper};
 use nfp_repro::sim::{Machine, PcHistogram, Tracer, RAM_BASE};
-use nfp_repro::sparc::{disasm, parse_program, Category};
+use nfp_repro::sparc::{disasm, parse_program};
 use nfp_repro::testbed::Testbed;
 
 /// Euclid's algorithm on (91080, 43758), hand-written.
@@ -38,28 +38,15 @@ fn main() {
     println!("assembled {} words:", words.len());
     print!("{}", disasm::disassemble_block(&words, RAM_BASE));
 
-    struct Everything {
-        counter: ClassCounter<Paper>,
-        hist: PcHistogram,
-        tracer: Tracer,
-    }
-    impl nfp_repro::sim::Observer for Everything {
-        fn observe(&mut self, info: &nfp_repro::sim::ExecInfo) {
-            self.counter.observe(info);
-            self.hist.observe(info);
-            self.tracer.observe(info);
-        }
-    }
-    let mut obs = Everything {
-        counter: ClassCounter::new(Paper),
-        hist: PcHistogram::new(RAM_BASE, words.len()),
-        tracer: Tracer::new(12),
-    };
+    // The category counts are built into every run; the observers add
+    // the hotspot profile and the trace.
+    let mut obs = (PcHistogram::new(RAM_BASE, words.len()), Tracer::new(12));
     let mut machine = Machine::boot(&words);
     let result = machine.run_observed(1_000_000, &mut obs).expect("runs");
+    let (hist, tracer) = obs;
 
-    println!("\nfirst {} executed instructions:", obs.tracer.lines.len());
-    for line in &obs.tracer.lines {
+    println!("\nfirst {} executed instructions:", tracer.lines.len());
+    for line in &tracer.lines {
         println!("  {line}");
     }
     // `ta 0` reports %o0, which holds `a` once b reaches zero.
@@ -70,19 +57,19 @@ fn main() {
     assert_eq!(result.exit_code, 198);
 
     println!("\ninstruction mix:");
-    for (cat, &n) in Category::ALL.iter().zip(obs.counter.counts()) {
+    for (cat, n) in result.counts.iter() {
         if n > 0 {
             println!("  {:<20} {:>6}", cat.name(), n);
         }
     }
     println!("\nhottest instructions:");
-    for (pc, count) in obs.hist.hottest(5) {
+    for (pc, count) in hist.hottest(5) {
         println!("  {pc:08x}  x{count}");
     }
 
     let testbed = Testbed::new();
     let cal = calibrate(&testbed, &Paper, 2).expect("calibration");
-    let est = cal.model.estimate(obs.counter.counts());
+    let est = cal.model.estimate(result.counts.as_array());
     println!(
         "\nestimated cost on the LEON3-class board: {:.2} µs, {:.2} µJ",
         est.time_s * 1e6,

@@ -15,9 +15,8 @@
 //! ```
 
 use nfp_repro::cc::{compile, CompileOptions, FloatMode};
-use nfp_repro::core::{calibrate, ClassCounter, Paper};
+use nfp_repro::core::{calibrate, Paper};
 use nfp_repro::sim::{Machine, MachineConfig, PcHistogram, Tracer};
-use nfp_repro::sparc::Category;
 use nfp_repro::testbed::Testbed;
 use std::process::ExitCode;
 
@@ -100,35 +99,25 @@ fn main() -> ExitCode {
         .load_image(program.base, &program.words)
         .expect("image fits in RAM");
 
-    let mut counter = ClassCounter::new(Paper);
-    let mut hist = PcHistogram::new(program.base, program.text_words);
-    let mut tracer = Tracer::new(trace_n);
-
-    struct Multi<'a> {
-        counter: &'a mut ClassCounter<Paper>,
-        hist: &'a mut PcHistogram,
-        tracer: &'a mut Tracer,
-    }
-    impl nfp_repro::sim::Observer for Multi<'_> {
-        fn observe(&mut self, info: &nfp_repro::sim::ExecInfo) {
-            self.counter.observe(info);
-            self.hist.observe(info);
-            self.tracer.observe(info);
-        }
-    }
-    let mut multi = Multi {
-        counter: &mut counter,
-        hist: &mut hist,
-        tracer: &mut tracer,
+    let mut observers = (
+        PcHistogram::new(program.base, program.text_words),
+        Tracer::new(trace_n),
+    );
+    // Only the profile and the trace need per-instruction records; the
+    // category counts are built into every run.
+    let run = if has("--profile") || trace_n > 0 {
+        machine.run_observed(100_000_000_000, &mut observers)
+    } else {
+        machine.run(100_000_000_000)
     };
-
-    let result = match machine.run_observed(100_000_000_000, &mut multi) {
+    let result = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mcc: runtime error: {e}");
             return ExitCode::from(1);
         }
     };
+    let (hist, tracer) = observers;
 
     if trace_n > 0 {
         println!(
@@ -156,7 +145,7 @@ fn main() -> ExitCode {
 
     if has("--profile") {
         println!("-- instruction categories --");
-        for (cat, &n) in Category::ALL.iter().zip(counter.counts()) {
+        for (cat, n) in result.counts.iter() {
             if n > 0 {
                 println!(
                     "  {:<20} {:>12}  ({:5.1}%)",
@@ -187,7 +176,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
-        let est = calibration.model.estimate(counter.counts());
+        let est = calibration.model.estimate(result.counts.as_array());
         println!(
             "-- NFP estimate (Eq. 1) --\n  time   {:.6} s\n  energy {:.6} J",
             est.time_s, est.energy_j

@@ -5,6 +5,7 @@
 use nfp_bench::{Evaluation, Mode};
 use nfp_repro::core::ErrorSummary;
 use nfp_repro::workloads::{fse_kernels, hevc_kernels, Preset};
+use std::fmt::Write;
 
 /// One shared evaluation (calibration is the expensive part).
 fn eval() -> &'static Evaluation {
@@ -24,6 +25,10 @@ fn estimation_errors_are_in_the_papers_band() {
     kernels.extend(fse_kernels(&preset).expect("kernels").into_iter().take(2));
     let results = eval.run_all(&kernels).expect("pipeline");
     assert_eq!(results.len(), kernels.len() * 2);
+    // The first five kernels (4 HEVC + fse_img00, both variants) are
+    // pinned exactly, so a refactor cannot move the paper's numbers
+    // unnoticed.
+    assert_matches_pinned(&results[..10]);
 
     let t = ErrorSummary::from_errors(&results.iter().map(|r| r.time_error()).collect::<Vec<_>>())
         .expect("non-empty kernel set");
@@ -135,4 +140,26 @@ fn parallel_sweep_matches_sequential() {
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.measured, b.measured);
     }
+}
+
+/// Compares counts, instret, estimate and measurement of `results`
+/// exactly (`{:?}` of an f64 round-trips) against
+/// `tests/expected/pipeline_quick.txt`. On a mismatch the panic message
+/// carries the full computed text.
+fn assert_matches_pinned(results: &[nfp_bench::KernelResult]) {
+    let mut got = String::new();
+    for r in results {
+        writeln!(
+            got,
+            "{} counts={:?} instret={} estimate={:?} measured={:?}",
+            r.name, r.counts, r.instret, r.estimate, r.measured
+        )
+        .unwrap();
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/expected/pipeline_quick.txt"
+    );
+    let want = std::fs::read_to_string(path).expect("read pinned values");
+    assert!(got == want, "{path} differs; computed values:\n{got}");
 }
