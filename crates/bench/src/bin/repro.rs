@@ -20,7 +20,7 @@
 //! repro campaign --resume j.jsonl      # skip completed injections, continue
 //! repro campaign --injections 400      # override the plan size
 //! repro campaign --kernel fse          # only showcase kernels matching 'fse'
-//! repro campaign --dispatch step       # step|block|threaded|traced execution
+//! repro campaign --dispatch step       # step|traced execution
 //! repro campaign --isolation process   # worker subprocesses (SIGKILL watchdogs)
 //! repro campaign --heartbeat-ms 200    # worker idle-heartbeat interval
 //! repro campaign --deadline-ms 60000   # per-injection wall deadline (process mode)
@@ -112,6 +112,19 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The `--dispatch` value, if present; an unknown name fails with the
+/// list of modes [`Dispatch::ALL`] offers.
+fn dispatch_flag(args: &[String]) -> Option<Dispatch> {
+    let d = flag_value(args, "--dispatch")?;
+    Some(Dispatch::parse(d).unwrap_or_else(|| {
+        let modes: Vec<&str> = Dispatch::ALL.iter().map(|m| m.as_str()).collect();
+        fail(
+            "argument parsing",
+            format!("--dispatch wants {}, got '{d}'", modes.join("|")),
+        )
+    }))
+}
+
 fn preset_from_args(args: &[String]) -> Preset {
     if args.iter().any(|a| a == "--quick") {
         Preset::quick()
@@ -166,13 +179,8 @@ fn run_campaign_command(args: &[String], preset: &Preset) {
             )
         });
     }
-    if let Some(d) = flag_value(args, "--dispatch") {
-        campaign.dispatch = Dispatch::parse(d).unwrap_or_else(|| {
-            fail(
-                "argument parsing",
-                format!("--dispatch wants step|block|threaded|traced, got '{d}'"),
-            )
-        });
+    if let Some(d) = dispatch_flag(args) {
+        campaign.dispatch = d;
     }
     let mut sup = SupervisorConfig::new(campaign);
     sup.preset = if args.iter().any(|a| a == "--quick") {
@@ -523,13 +531,8 @@ fn run_submit_command(args: &[String]) {
             .parse()
             .unwrap_or_else(|_| fail("argument parsing", format!("--seed wants a u64, got '{n}'")));
     }
-    if let Some(d) = flag_value(args, "--dispatch") {
-        campaign.dispatch = Dispatch::parse(d).unwrap_or_else(|| {
-            fail(
-                "argument parsing",
-                format!("--dispatch wants step|block|threaded|traced, got '{d}'"),
-            )
-        });
+    if let Some(d) = dispatch_flag(args) {
+        campaign.dispatch = d;
     }
     // The submitted kernel must resolve inside the *coordinator's*
     // preset; `--quick` here only picks which showcase registry the

@@ -49,10 +49,10 @@ pub struct CampaignConfig {
     /// watchdog already bounds every replay.
     pub wall: Option<Duration>,
     /// Execution dispatch strategy for the golden run and every
-    /// replay. Campaign results are bit-identical across all modes (a
-    /// regression test asserts it); this exists to measure the
-    /// dispatch speedups and to isolate suspected batching bugs by
-    /// dropping back to [`Dispatch::Step`].
+    /// replay. Campaign results are bit-identical across both modes (a
+    /// regression test asserts it); this exists to measure the traced
+    /// speedup and to isolate a suspected fast-path bug by dropping
+    /// back to the [`Dispatch::Step`] reference.
     pub dispatch: Dispatch,
     /// Watchdog escalation factor. A replay first runs under the soft
     /// instruction budget (`2·golden + 10000` minus the injection
@@ -452,8 +452,8 @@ mod tests {
         // The execution-mode contract extended to a full seeded
         // campaign: golden run, checkpoint ladder, every injected
         // replay, and the classified outcomes must not depend on how
-        // execution is dispatched — per-instruction stepping, block
-        // batching, threaded code, or superblock traces.
+        // execution is dispatched — per-instruction stepping or
+        // superblock traces.
         let kernels = nfp_workloads::fse_kernels(&Preset::quick()).expect("kernels");
         let base = CampaignConfig {
             injections: 30,
@@ -470,7 +470,7 @@ mod tests {
             },
         )
         .unwrap();
-        for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+        for dispatch in Dispatch::ALL {
             let fast = run_campaign(
                 &kernels[0],
                 Mode::Float,

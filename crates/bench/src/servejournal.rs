@@ -674,6 +674,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_dispatch_name_in_a_submit_is_a_journal_error() {
+        let path = tmp("retired_dispatch");
+        for retired in ["block", "threaded"] {
+            let j = ServiceJournal::create(&path).unwrap();
+            j.start().unwrap();
+            // A well-formed, correctly CRC'd submit naming the mode.
+            let base = submit_base(0, &request(), 777).replace(
+                "\"dispatch\":\"traced\"",
+                &format!("\"dispatch\":\"{retired}\""),
+            );
+            assert!(base.contains(retired));
+            j.append(base).unwrap();
+            match load_service_journal(&path) {
+                Err(NfpError::Journal { reason, .. }) => {
+                    assert_eq!(reason, "corrupt record at line 3");
+                }
+                other => panic!("{retired}: expected Journal error, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn duplicate_submit_and_unknown_cid_are_rejected() {
         let path = tmp("dup");
         let j = ServiceJournal::create(&path).unwrap();

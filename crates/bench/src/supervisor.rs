@@ -1768,6 +1768,37 @@ mod tests {
     }
 
     #[test]
+    fn retired_dispatch_names_in_a_header_are_refused() {
+        let header = test_header();
+        let path = std::env::temp_dir().join(format!(
+            "nfp_supervisor_retired_dispatch_{}.jsonl",
+            std::process::id()
+        ));
+        for retired in ["block", "threaded"] {
+            let line = header.render().replace(
+                "\"dispatch\":\"traced\"",
+                &format!("\"dispatch\":\"{retired}\""),
+            );
+            assert_ne!(line, header.render());
+            assert_eq!(parse_header(&line), None, "{retired}");
+            // Resuming against it names the field.
+            match header.check("j.jsonl", &line) {
+                Err(NfpError::JournalMismatch { field, .. }) => assert_eq!(field, "dispatch"),
+                got => panic!("{retired}: expected JournalMismatch, got {got:?}"),
+            }
+            // `merge-journals` reads the claimed campaign from the header.
+            std::fs::write(&path, format!("{line}\n")).unwrap();
+            match crate::shards::peek_campaign(&path) {
+                Err(NfpError::ShardMerge { reason, .. }) => {
+                    assert_eq!(reason, "missing or corrupt header line");
+                }
+                got => panic!("{retired}: expected ShardMerge, got {got:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn record_crc_rejects_any_bit_flip() {
         let rec = InjectionRecord {
             fault: Fault {

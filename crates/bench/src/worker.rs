@@ -221,10 +221,8 @@ pub(crate) fn parse_hello(line: &str) -> Result<WorkerHello, NfpError> {
             injections: obj.u64("injections").ok_or_else(|| field("injections"))?,
             seed: obj.u64("seed").ok_or_else(|| field("seed"))?,
             checkpoints: obj.u64("checkpoints").ok_or_else(|| field("checkpoints"))?,
-            dispatch: obj
-                .str("dispatch")
-                .and_then(Dispatch::parse)
-                .ok_or_else(|| field("dispatch"))?,
+            dispatch: Dispatch::parse(obj.str("dispatch").ok_or_else(|| field("dispatch"))?)
+                .ok_or_else(|| violation("hello names an unknown dispatch"))?,
             escalation: obj.u64("escalation").ok_or_else(|| field("escalation"))?,
             wall_ms: obj.opt_u64("wall_ms").ok_or_else(|| field("wall_ms"))?,
             golden_instret: obj
@@ -1023,6 +1021,22 @@ mod tests {
         }
         // A frame that is not a hello at all is also a violation.
         assert!(parse_hello(HB_FRAME).is_err());
+    }
+
+    #[test]
+    fn retired_dispatch_name_in_a_hello_is_a_protocol_violation() {
+        for retired in ["block", "threaded"] {
+            let line = render_hello(&hello()).replace(
+                "\"dispatch\":\"traced\"",
+                &format!("\"dispatch\":\"{retired}\""),
+            );
+            match parse_hello(&line) {
+                Err(NfpError::ProtocolViolation { detail }) => {
+                    assert_eq!(detail, "hello names an unknown dispatch");
+                }
+                other => panic!("{retired}: expected ProtocolViolation, got {other:?}"),
+            }
+        }
     }
 
     #[test]

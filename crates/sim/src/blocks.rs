@@ -1,6 +1,6 @@
 //! Basic-block segmentation of the predecoded instruction stream, and
-//! the per-block category summaries behind block-batched NFP
-//! accounting.
+//! the per-block category summaries behind the traced path's batched
+//! NFP accounting.
 //!
 //! The paper's counters are per-instruction, but their *values* only
 //! depend on which instructions retired — so over a straight-line run
@@ -19,11 +19,12 @@
 //! The cache is a pure function of the predecoded image, so
 //! [`Machine::patch_code_word`](crate::Machine::patch_code_word) (and
 //! with it every fault-injection code flip and undo) invalidates it;
-//! the next batched run rebuilds it.
+//! the next traced run rebuilds it.
 
 use nfp_sparc::{Category, CategoryCounts, Instr};
 
-/// Per-image acceleration structure for block-batched execution.
+/// Per-image acceleration structure for batched execution: the
+/// traced path's straight-line runs and its trace formation.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     /// `ender[i]` = index of the first block-ending instruction at or
@@ -69,8 +70,8 @@ impl BlockCache {
 
     /// Exclusive end of the straight-line (linear-only) run starting at
     /// instruction index `i`: every instruction in `[i, run_end(i))` is
-    /// executable by `exec_linear`, and `run_end(i)` itself is either a
-    /// block-ending instruction or the end of the image.
+    /// executable from the flat dispatch table, and `run_end(i)` itself
+    /// is either a block-ending instruction or the end of the image.
     #[inline]
     pub fn run_end(&self, i: usize) -> usize {
         self.ender[i] as usize
@@ -90,10 +91,11 @@ impl BlockCache {
 /// statically known CTI target inside the image, and every block-ender
 /// fall-through — two slots past a CTI (skipping its delay slot), but
 /// only *one* past `t<cond>`, which has no delay slot (an untaken soft
-/// trap continues at the very next word). The block-batched run loop
-/// handles arbitrary entry points via [`BlockCache::run_end`], but
-/// superblock trace formation seeds its trace heads from this set, so
-/// a missed leader means a never-traced block.
+/// trap continues at the very next word). The traced run loop's
+/// straight-line fallback handles arbitrary entry points via
+/// [`BlockCache::run_end`], but superblock trace formation seeds its
+/// trace heads from this set, so a missed leader means a never-traced
+/// block.
 pub fn leaders(code: &[(Instr, Category)], base: u32) -> Vec<usize> {
     let mut lead = vec![false; code.len()];
     if !code.is_empty() {

@@ -9,8 +9,8 @@
 use crate::blocks::BlockCache;
 use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
-use crate::exec::{exec_linear, step, ExecError, ExecInfo, NullObserver, Observer, StepOut, Trap};
-use crate::threaded::{build_trace, run_tops, ThreadedCache, TraceCache, TraceHalt, TraceSlot};
+use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
+use crate::threaded::{build_trace, run_ops, ThreadedCache, TraceCache, TraceHalt, TraceSlot};
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
 
@@ -38,48 +38,37 @@ pub enum TrapPolicy {
     Recover,
 }
 
-/// How the run loop executes instructions. Every mode is bit-identical
-/// to [`Dispatch::Step`] (the architectural reference, enforced by the
-/// differential suites); they differ only in speed. Observed runs
-/// ([`Machine::run_observed`]) always step regardless of this setting,
-/// because an [`Observer`] needs every [`ExecInfo`].
+/// How the run loop executes instructions: one reference path and one
+/// fast path. [`Dispatch::Traced`] is bit-identical to
+/// [`Dispatch::Step`] (enforced by the differential suites); the two
+/// differ only in speed. Observed runs ([`Machine::run_observed`])
+/// always step regardless of this setting, because an [`Observer`]
+/// needs every [`ExecInfo`](crate::ExecInfo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dispatch {
     /// Architectural reference: fetch, match, and account one
     /// instruction at a time.
     Step,
-    /// Block-batched accounting (DESIGN.md §8): straight-line runs
-    /// execute through `exec_linear` with one counter/pc commit per
-    /// block.
-    Block,
-    /// Threaded-code dispatch: straight-line runs execute through the
-    /// predecoded function-pointer table — one indirect call per
-    /// instruction, zero decode or match (DESIGN.md §13).
-    Threaded,
-    /// Threaded dispatch plus superblock traces: basic blocks chained
-    /// across statically-predicted branches and delay slots, so hot
-    /// loop iterations retire without returning to the dispatcher;
-    /// side-exit guards fall back to the step path (DESIGN.md §13).
+    /// Superblock traces over the predecoded dispatch table: basic
+    /// blocks chained across statically-predicted branches and delay
+    /// slots, so hot loop iterations retire without returning to the
+    /// dispatcher, with one counter commit per trace. Straight-line
+    /// code that forms no trace runs from the flat table with one
+    /// commit per block; block enders, side exits and out-of-image
+    /// code fall back to the step path (DESIGN.md §13).
     #[default]
     Traced,
 }
 
 impl Dispatch {
-    /// All modes, in reference-first order (differential suites sweep
+    /// Both modes, in reference-first order (differential suites sweep
     /// this).
-    pub const ALL: [Dispatch; 4] = [
-        Dispatch::Step,
-        Dispatch::Block,
-        Dispatch::Threaded,
-        Dispatch::Traced,
-    ];
+    pub const ALL: [Dispatch; 2] = [Dispatch::Step, Dispatch::Traced];
 
     /// Stable lowercase name (CLI flags, journal headers).
     pub fn as_str(self) -> &'static str {
         match self {
             Dispatch::Step => "step",
-            Dispatch::Block => "block",
-            Dispatch::Threaded => "threaded",
             Dispatch::Traced => "traced",
         }
     }
@@ -108,12 +97,11 @@ pub struct MachineConfig {
     pub count_categories: bool,
     /// Trap handling policy (see [`TrapPolicy`]).
     pub trap_policy: TrapPolicy,
-    /// Execution strategy for unobserved runs (see [`Dispatch`]). All
-    /// modes are bit-identical; the step path remains the reference
-    /// and is used automatically whenever an [`Observer`] is attached,
-    /// at block-ending instructions, in delay slots, outside the
-    /// loaded image, and to re-present instructions after a mid-block
-    /// trap.
+    /// Execution strategy for unobserved runs (see [`Dispatch`]). Both
+    /// modes are bit-identical; the step path is the reference and is
+    /// used automatically whenever an [`Observer`] is attached, at
+    /// block-ending instructions, in delay slots, outside the loaded
+    /// image, and to re-present instructions after a mid-block trap.
     pub dispatch: Dispatch,
 }
 
@@ -306,11 +294,11 @@ pub struct Machine {
     code: Vec<(Instr, Category)>,
     /// Block summaries over `code`; `None` when stale (image loaded or
     /// patched since the last build) — rebuilt lazily by the next
-    /// batched run.
+    /// traced run.
     blocks: Option<BlockCache>,
-    /// Threaded dispatch table over `code`; invalidated exactly like
+    /// Predecoded dispatch table over `code`; invalidated exactly like
     /// `blocks` (pure function of the predecoded image), rebuilt
-    /// lazily by the next threaded/traced run.
+    /// lazily by the next traced run.
     threaded: Option<ThreadedCache>,
     /// Superblock traces keyed by block-leader index; invalidated
     /// exactly like `blocks`, rebuilt lazily per trace head.
@@ -328,7 +316,8 @@ pub struct Machine {
 pub struct DispatchStats {
     /// Retired inside superblock traces.
     pub traced: u64,
-    /// Retired in straight-line batches (threaded or linear).
+    /// Retired by the traced path's straight-line fallback: runs of
+    /// the flat dispatch table where no superblock formed.
     pub batched: u64,
     /// Retired on the per-instruction step path.
     pub stepped: u64,
@@ -474,7 +463,7 @@ impl Machine {
         // The patched word may create or remove a block boundary, so
         // every cached block summary, dispatch-table entry, and trace
         // crossing it is stale; drop all three derived caches and let
-        // the next batched run rebuild them. This is the invalidation
+        // the next traced run rebuild them. This is the invalidation
         // that keeps fault-injection code flips bit-identical across
         // dispatch modes.
         self.blocks = None;
@@ -601,7 +590,8 @@ impl Machine {
     }
 
     /// Runs with a per-instruction [`Observer`] (the detailed hardware
-    /// model attaches here). An observer needs every [`ExecInfo`], so
+    /// model attaches here). An observer needs every
+    /// [`ExecInfo`](crate::ExecInfo), so
     /// this path always steps instruction by instruction, regardless of
     /// [`MachineConfig::dispatch`].
     pub fn run_observed<O: Observer>(
@@ -630,7 +620,7 @@ impl Machine {
     /// Replays execution until the dynamic instruction count reaches
     /// `target`. Used by fault campaigns to position the machine at an
     /// injection point; the program halting first is an error
-    /// ([`SimError::HaltedEarly`]). Block batching clamps its batches
+    /// ([`SimError::HaltedEarly`]). The traced path clamps its batches
     /// to the remaining budget, so the machine stops at *exactly*
     /// `target` retired instructions — a fault plan aimed at an
     /// instant inside a block still injects at the precise instruction.
@@ -665,23 +655,21 @@ impl Machine {
         let fpu = self.config.fpu_enabled;
         let recover = self.config.trap_policy == TrapPolicy::Recover;
         let limit = self.instret.saturating_add(max_instrs);
-        let batched = dispatch != Dispatch::Step;
-        let threaded = matches!(dispatch, Dispatch::Threaded | Dispatch::Traced);
-        if batched && self.blocks.is_none() && !self.code.is_empty() {
-            self.blocks = Some(BlockCache::build(&self.code));
-        }
-        if threaded && self.threaded.is_none() && !self.code.is_empty() {
-            self.threaded = Some(ThreadedCache::build(&self.code, self.code_base, fpu));
-        }
-        if dispatch == Dispatch::Traced && self.traces.is_none() && !self.code.is_empty() {
-            self.traces = Some(TraceCache::new(&self.code, self.code_base));
+        let traced = dispatch == Dispatch::Traced && !self.code.is_empty();
+        if traced {
+            if self.blocks.is_none() {
+                self.blocks = Some(BlockCache::build(&self.code));
+            }
+            if self.threaded.is_none() {
+                self.threaded = Some(ThreadedCache::build(&self.code, self.code_base, fpu));
+            }
+            if self.traces.is_none() {
+                self.traces = Some(TraceCache::new(&self.code, self.code_base));
+            }
         }
         // Next instret at which an armed wall-clock deadline is
         // consulted (batches can jump past exact interval multiples).
         let mut wall_check_at = self.instret;
-        // Scratch record for the batched path; exec_linear fills it and
-        // nobody reads it (no observer is attached when batching).
-        let mut scratch = ExecInfo::new(0, Instr::NOP, Category::Nop);
         loop {
             if self.instret >= limit {
                 return Err(if watchdog {
@@ -702,7 +690,7 @@ impl Machine {
                     wall_check_at = self.instret + WALL_CHECK_INTERVAL;
                 }
             }
-            if batched {
+            if traced {
                 let pc = self.cpu.pc;
                 let idx = pc.wrapping_sub(self.code_base) as usize / 4;
                 // Batch only from a sequential state (npc = pc + 4)
@@ -713,55 +701,53 @@ impl Machine {
                     && idx < self.code.len()
                     && self.cpu.npc == pc.wrapping_add(4)
                 {
-                    // Traced mode: try a superblock first. Traces are
-                    // built lazily at block-leader indices; a trace is
-                    // only entered when it fits whole in the remaining
-                    // budget, so run_until() exactness is unaffected.
-                    if dispatch == Dispatch::Traced {
-                        let traces = self.traces.as_mut().expect("built above");
-                        if traces.is_head(idx) {
-                            if traces.is_untried(idx) {
-                                let slot = build_trace(
-                                    &self.code,
-                                    self.code_base,
-                                    self.blocks.as_ref().expect("built above"),
-                                    self.threaded.as_ref().expect("built above").ops(),
-                                    fpu,
-                                    idx,
-                                );
-                                traces.set(idx, slot);
-                            }
-                            if let TraceSlot::Present(trace) = traces.slot(idx) {
-                                if (trace.len() as u64) <= limit - self.instret {
-                                    let halt = trace.run(&mut self.cpu, &mut self.bus);
-                                    // (retired ops, pc/npc to set, error)
-                                    let (retired, state, err) = match halt {
-                                        TraceHalt::Completed => {
-                                            let e = trace.end_pc();
-                                            (trace.len(), Some((e, e.wrapping_add(4))), None)
-                                        }
-                                        // The guard wrote the side-exit
-                                        // pc/npc itself.
-                                        TraceHalt::Exited { retired } => (retired, None, None),
-                                        TraceHalt::Trapped { at, err } => {
-                                            (at, Some(trace.meta(at)), Some(err))
-                                        }
-                                    };
-                                    let delta = trace.counts_upto(retired);
-                                    self.instret += retired as u64;
-                                    self.dispatch_stats.traced += retired as u64;
-                                    if counting {
-                                        self.counts = self.counts.merged(&delta);
+                    // Try a superblock first. Traces are built lazily
+                    // at block-leader indices; a trace is only entered
+                    // when it fits whole in the remaining budget, so
+                    // run_until() exactness is unaffected.
+                    let traces = self.traces.as_mut().expect("built above");
+                    if traces.is_head(idx) {
+                        if traces.is_untried(idx) {
+                            let slot = build_trace(
+                                &self.code,
+                                self.code_base,
+                                self.blocks.as_ref().expect("built above"),
+                                self.threaded.as_ref().expect("built above").ops(),
+                                fpu,
+                                idx,
+                            );
+                            traces.set(idx, slot);
+                        }
+                        if let TraceSlot::Present(trace) = traces.slot(idx) {
+                            if (trace.len() as u64) <= limit - self.instret {
+                                let halt = trace.run(&mut self.cpu, &mut self.bus);
+                                // (retired ops, pc/npc to set, error)
+                                let (retired, state, err) = match halt {
+                                    TraceHalt::Completed => {
+                                        let e = trace.end_pc();
+                                        (trace.len(), Some((e, e.wrapping_add(4))), None)
                                     }
-                                    if let Some((p, n)) = state {
-                                        self.cpu.pc = p;
-                                        self.cpu.npc = n;
+                                    // The guard wrote the side-exit
+                                    // pc/npc itself.
+                                    TraceHalt::Exited { retired } => (retired, None, None),
+                                    TraceHalt::Trapped { at, err } => {
+                                        (at, Some(trace.meta(at)), Some(err))
                                     }
-                                    if let Some(e) = err {
-                                        self.settle(e, recover)?;
-                                    }
-                                    continue;
+                                };
+                                let delta = trace.counts_upto(retired);
+                                self.instret += retired as u64;
+                                self.dispatch_stats.traced += retired as u64;
+                                if counting {
+                                    self.counts = self.counts.merged(&delta);
                                 }
+                                if let Some((p, n)) = state {
+                                    self.cpu.pc = p;
+                                    self.cpu.npc = n;
+                                }
+                                if let Some(e) = err {
+                                    self.settle(e, recover)?;
+                                }
+                                continue;
                             }
                         }
                     }
@@ -771,45 +757,18 @@ impl Machine {
                     let take = ((run_end - idx) as u64).min(limit - self.instret) as usize;
                     let end = idx + take;
                     if end > idx {
-                        let mut j = idx;
-                        let mut pending: Option<ExecError> = None;
-                        if threaded {
-                            // Threaded dispatch: one predecoded op per
-                            // instruction, zero decode or re-match —
-                            // hot kinds inlined at the dispatch site,
-                            // the tail through the table's fn pointer.
-                            let tops = self.threaded.as_ref().expect("built above").ops();
-                            let (done, err) =
-                                run_tops(&tops[idx..end], &mut self.cpu, &mut self.bus);
-                            j += done;
-                            pending = err;
-                        } else {
-                            let mut ipc = pc;
-                            for (instr, _) in &self.code[idx..end] {
-                                if let Err(e) = exec_linear::<false>(
-                                    &mut self.cpu,
-                                    &mut self.bus,
-                                    instr,
-                                    fpu,
-                                    ipc,
-                                    &mut scratch,
-                                ) {
-                                    pending = Some(e);
-                                    break;
-                                }
-                                j += 1;
-                                ipc = ipc.wrapping_add(4);
-                            }
-                        }
+                        let ops = self.threaded.as_ref().expect("built above").ops();
+                        let (done, pending) = run_ops(&ops[idx..end], &mut self.cpu, &mut self.bus);
+                        let j = idx + done;
                         // Commit the completed prefix [idx, j) in one
-                        // batch: linear execution leaves pc/npc
+                        // batch: the table's ops leave pc/npc
                         // untouched, so on a trap the machine state is
                         // exactly what stepping would have left — pc
                         // at the faulting instruction, nothing of it
                         // counted.
                         if j > idx {
-                            self.instret += (j - idx) as u64;
-                            self.dispatch_stats.batched += (j - idx) as u64;
+                            self.instret += done as u64;
+                            self.dispatch_stats.batched += done as u64;
                             if counting {
                                 let delta = self
                                     .blocks
@@ -890,7 +849,7 @@ impl Machine {
         }
     }
 
-    /// Test hook: corrupts the threaded dispatch-table entry at code
+    /// Test hook: corrupts the predecoded dispatch-table entry at code
     /// index `index` so it reports a routing violation when executed,
     /// simulating a fault-flipped or inconsistent dispatch table.
     /// Returns `false` (and does nothing) if the index is out of range
@@ -1336,9 +1295,9 @@ mod tests {
         assert_eq!(r.exit_code, 9);
     }
 
-    /// Runs `words` once per dispatch mode — step, block, threaded,
-    /// traced — under the same policy and budget, and asserts every
-    /// observable agrees with the stepping reference: the run/error
+    /// Runs `words` once per dispatch mode under the same policy and
+    /// budget, and asserts every observable agrees with the stepping
+    /// reference: the run/error
     /// result, retired-instruction count, category counters, full CPU
     /// state, and RAM contents.
     fn assert_modes_agree(words: &[u32], policy: TrapPolicy, budget: u64) {
@@ -1356,7 +1315,7 @@ mod tests {
             )
         };
         let stepped = observe(Dispatch::Step);
-        for d in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+        for d in Dispatch::ALL {
             let fast = observe(d);
             assert_eq!(stepped.0, fast.0, "{d}: run result diverged");
             assert_eq!(stepped.1, fast.1, "{d}: instret diverged");
@@ -1477,7 +1436,7 @@ mod tests {
     #[test]
     fn patched_code_is_seen_by_every_dispatch_mode() {
         // Same invalidation property as above, but exercising the
-        // threaded dispatch table and the superblock trace cache: the
+        // predecoded dispatch table and the superblock trace cache: the
         // patch lands mid-loop-body, i.e. mid-superblock once the
         // traced run has chained the loop into one trace.
         let words = memory_loop_program();
@@ -1491,7 +1450,7 @@ mod tests {
             (res.instret, res.counts, res.words)
         };
         let stepped = observe(Dispatch::Step);
-        for d in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+        for d in Dispatch::ALL {
             assert_eq!(observe(d), stepped, "{d}: patched run diverged");
         }
     }
@@ -1499,26 +1458,37 @@ mod tests {
     #[test]
     fn dispatch_round_trips_and_defaults_to_traced() {
         assert_eq!(MachineConfig::default().dispatch, Dispatch::Traced);
+        assert_eq!(Dispatch::ALL, [Dispatch::Step, Dispatch::Traced]);
         for d in Dispatch::ALL {
             assert_eq!(Dispatch::parse(d.as_str()), Some(d));
         }
-        assert_eq!(Dispatch::parse("warp"), None);
+        for retired in ["warp", "block", "threaded"] {
+            assert_eq!(Dispatch::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
     fn corrupted_dispatch_entry_is_a_typed_error() {
         let words = memory_loop_program();
-        for d in [Dispatch::Threaded, Dispatch::Traced] {
+        // Word 9 (`mov 0, %o0`) heads the post-loop block, which ends
+        // at `ta` and forms no trace, so only the flat `run_ops` path
+        // can execute its entry.
+        let m = Machine::boot(&words);
+        let blocks = BlockCache::build(&m.code);
+        let table = ThreadedCache::build(&m.code, m.code_base, true);
+        let slot = build_trace(&m.code, m.code_base, &blocks, table.ops(), true, 9);
+        assert!(matches!(slot, TraceSlot::Absent), "got {slot:?}");
+        // Word 5 is the console `st` in the loop body, which runs
+        // inside a superblock. Each corrupted linear entry claims to be
+        // a block ender.
+        for index in [5, 9] {
             let mut m = Machine::boot(&words);
-            m.set_dispatch(d);
-            // Word 5 is the console `st` in the loop body — a linear
-            // instruction whose corrupted entry claims otherwise.
-            assert!(m.test_corrupt_dispatch(5));
+            assert!(m.test_corrupt_dispatch(index));
             match m.run(10_000) {
                 Err(SimError::DispatchViolation { pc }) => {
-                    assert_eq!(pc, RAM_BASE + 5 * 4, "{d}");
+                    assert_eq!(pc, RAM_BASE + index as u32 * 4, "word {index}");
                 }
-                other => panic!("{d}: expected DispatchViolation, got {other:?}"),
+                other => panic!("word {index}: expected DispatchViolation, got {other:?}"),
             }
         }
     }

@@ -1,25 +1,24 @@
-//! Threaded-code dispatch and superblock traces — the zero-decode hot
-//! path behind [`Dispatch::Threaded`](crate::Dispatch::Threaded) and
+//! The predecoded dispatch table and superblock traces behind
 //! [`Dispatch::Traced`](crate::Dispatch::Traced).
 //!
-//! Block-batched accounting (DESIGN.md §8) removed the per-instruction
-//! counter commit, but `exec_linear` still re-matches the instruction
-//! enum on every retirement. This module predecodes each image
-//! instruction into a `(fn pointer, DecodedOp)` pair — the classic
-//! threaded-code idiom — so the hot loop is one indirect call per
-//! instruction with zero decode or match: all operand shapes
-//! (immediate vs register, load width, signedness, ALU opcode) are
-//! burned into the function pointer via const generics at predecode
-//! time.
+//! `exec_linear` re-matches the instruction enum on every retirement.
+//! This module predecodes each image instruction once into a 16-byte
+//! [`DecodedOp`]: an [`OpKind`] tag plus operands, with every shape
+//! decision (immediate vs register, load width, signedness, ALU
+//! opcode, FPU presence, register-pair evenness) made at predecode.
+//! [`exec_op`] executes an op with one match on the tag and no
+//! decode.
 //!
-//! On top of the flat dispatch table, [`TraceCache`] forms
-//! **superblocks**: instruction traces that chain basic blocks across
+//! On top of the flat table, [`TraceCache`] forms **superblocks**:
+//! instruction traces that chain basic blocks across
 //! statically-predicted branches (backward-taken/forward-not-taken)
 //! and their delay slots, so a whole inner-loop iteration retires
 //! without returning to the machine dispatcher. Predictions are
 //! enforced at run time by guard ops that evaluate the condition from
 //! a precomputed truth-table mask and side-exit with the exact
 //! architectural `pc`/`npc` the stepping path would have produced.
+//! Straight-line code that forms no trace runs through the flat table
+//! ([`run_ops`]).
 //!
 //! Bit-identity with the stepping path is preserved the same way the
 //! block cache preserves it: every structure here is a pure function
@@ -45,7 +44,7 @@ use nfp_sparc::{
 /// whole trace fits in the remaining instruction budget).
 pub(crate) const MAX_TRACE_OPS: usize = 256;
 
-/// Control-flow verdict of one threaded op.
+/// Control-flow verdict of one predecoded op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flow {
     /// Sequential: fall through to the next op in the table/trace.
@@ -55,22 +54,12 @@ pub(crate) enum Flow {
     Exit,
 }
 
-/// One threaded execution function. `DecodedOp` carries the operands;
-/// everything the shape of the instruction determines (opcode, operand
-/// form, width) is specialized into the function itself.
-pub(crate) type ExecFn = fn(&mut Cpu, &mut Bus, &DecodedOp) -> Result<Flow, ExecError>;
-
-/// Dispatch-kind tag mirroring the shape burned into the op's
-/// function pointer. The run loops inline the hottest kinds directly
-/// at the dispatch site (see [`exec_top`]); everything else — and any
-/// corrupted table entry, whose record defaults to `Generic` — goes
-/// through the indirect call, which stays the canonical semantic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What a predecoded op does; [`exec_op`] matches on it. Predecode
+/// gives every table and trace entry one of these, and `aux` refines
+/// it where a kind covers several shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum OpKind {
-    /// Execute through the fn pointer (FP, window ops, trap stubs).
-    #[default]
-    Generic,
     /// Retires with no architectural effect (`nop`, `flush`, and
     /// in-trace retired `ba`).
     Nop,
@@ -135,12 +124,12 @@ pub(crate) enum OpKind {
     Stub,
 }
 
-/// Predecoded operand record. One fixed shape for every instruction
-/// keeps the dispatch table flat (`Vec<TOp>`), with fields reused per
+/// Predecoded op record. One fixed shape for every instruction keeps
+/// the dispatch table flat (`Vec<DecodedOp>`), with fields reused per
 /// form: `imm` is the immediate operand, the precomputed `sethi`
 /// value, the branch target of an untaken-guard, or the raw word of an
 /// illegal instruction; `mask` is the guard truth-table.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedOp {
     /// The instruction's own address (trap payloads, guard exits).
     pub pc: u32,
@@ -154,36 +143,29 @@ pub(crate) struct DecodedOp {
     pub rs1: u8,
     /// Second source register number (register-form `op2`).
     pub rs2: u8,
-    /// Inline-dispatch tag (see [`OpKind`]).
+    /// Dispatch tag (see [`OpKind`]).
     pub kind: OpKind,
     /// Kind-specific selector (ALU opcode, load/store size code).
     pub aux: u8,
 }
 
 /// `DecodedOp` is sized to pack two entries per 32-byte half cache
-/// line; `kind`/`aux` live in what used to be padding. Growing it is a
-/// measurable dispatch regression, so the layout is pinned here.
+/// line. Growing it is a measurable dispatch regression, so the layout
+/// is pinned here.
 const _: () = assert!(std::mem::size_of::<DecodedOp>() == 16);
 
 impl DecodedOp {
-    fn at(pc: u32) -> Self {
+    fn at(pc: u32, kind: OpKind) -> Self {
         DecodedOp {
             pc,
-            ..Default::default()
+            imm: 0,
+            mask: 0,
+            rd: 0,
+            rs1: 0,
+            rs2: 0,
+            kind,
+            aux: 0,
         }
-    }
-}
-
-/// A threaded op: the function pointer *is* the decoded instruction.
-#[derive(Clone, Copy)]
-pub(crate) struct TOp {
-    pub exec: ExecFn,
-    pub op: DecodedOp,
-}
-
-impl std::fmt::Debug for TOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TOp").field("op", &self.op).finish()
     }
 }
 
@@ -210,21 +192,11 @@ fn op2_val<const IMM: bool>(cpu: &Cpu, op: &DecodedOp) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Linear exec functions (mirrors of `exec_linear`'s arms, OBSERVE = false)
+// Linear op semantics (the same effects as `exec_linear`'s arms)
 // ---------------------------------------------------------------------------
 
-fn exec_nop(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
-    Ok(Flow::Next)
-}
-
-#[inline(always)]
-fn exec_sethi(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    cpu.set(reg(op.rd), op.imm);
-    Ok(Flow::Next)
-}
-
-/// `AluOp` variants in declaration order, so `AluOp::X as u8` indexes
-/// back to the variant inside a const-generic context.
+/// `AluOp` variants in declaration order, so the `AluOp::X as u8`
+/// stored in `aux` indexes back to the variant.
 const ALU_OPS: [AluOp; 31] = [
     AluOp::Add,
     AluOp::AddCc,
@@ -260,56 +232,19 @@ const ALU_OPS: [AluOp; 31] = [
 ];
 
 #[inline(always)]
-fn exec_alu_c<const OP: u8, const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_alu_op(cpu: &mut Cpu, op: &DecodedOp, b: u32) -> Result<Flow, ExecError> {
     let a = cpu.get(reg(op.rs1));
-    let b = op2_val::<IMM>(cpu, op);
-    let r = exec_alu(cpu, ALU_OPS[OP as usize], a, b, op.pc)?;
+    let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
     cpu.set(reg(op.rd), r);
     Ok(Flow::Next)
 }
 
-fn alu_fn(op: AluOp, imm: bool) -> ExecFn {
-    macro_rules! arms {
-        ($($v:ident),* $(,)?) => {
-            match (op, imm) {
-                $(
-                    (AluOp::$v, false) => exec_alu_c::<{ AluOp::$v as u8 }, false>,
-                    (AluOp::$v, true) => exec_alu_c::<{ AluOp::$v as u8 }, true>,
-                )*
-            }
-        };
-    }
-    arms!(
-        Add, AddCc, AddX, AddXCc, Sub, SubCc, SubX, SubXCc, And, AndCc, AndN, AndNCc, Or, OrCc,
-        OrN, OrNCc, Xor, XorCc, XNor, XNorCc, Sll, Srl, Sra, UMul, UMulCc, SMul, SMulCc, UDiv,
-        UDivCc, SDiv, SDivCc,
-    )
-}
-
-fn exec_rdy(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    let y = cpu.y;
-    cpu.set(reg(op.rd), y);
-    Ok(Flow::Next)
-}
-
-fn exec_wry_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_wry<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     cpu.y = cpu.get(reg(op.rs1)) ^ op2_val::<IMM>(cpu, op);
     Ok(Flow::Next)
 }
 
-fn exec_save_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_save<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     // Source operands are read in the OLD window, the result is
     // written in the NEW window.
     let a = cpu.get(reg(op.rs1));
@@ -321,11 +256,7 @@ fn exec_save_c<const IMM: bool>(
     Ok(Flow::Next)
 }
 
-fn exec_restore_c<const IMM: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn exec_restore<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     let a = cpu.get(reg(op.rs1));
     let b = op2_val::<IMM>(cpu, op);
     if !cpu.window_restore() {
@@ -336,9 +267,9 @@ fn exec_restore_c<const IMM: bool>(
 }
 
 /// `SIZE`: 0 = byte, 1 = half, 2 = word, 3 = doubleword (odd-`rd`
-/// doublewords are routed to [`exec_odd_int_pair`] at predecode).
+/// doublewords are predecoded to a [`OpKind::Stub`]).
 #[inline(always)]
-fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
+fn exec_load<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
@@ -378,7 +309,7 @@ fn exec_load_c<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
 }
 
 #[inline(always)]
-fn exec_store_c<const SIZE: u8, const IMM: bool>(
+fn exec_store<const SIZE: u8, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
@@ -399,7 +330,7 @@ fn exec_store_c<const SIZE: u8, const IMM: bool>(
     Ok(Flow::Next)
 }
 
-fn exec_loadf_c<const DOUBLE: bool, const IMM: bool>(
+fn exec_loadf<const DOUBLE: bool, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
@@ -417,7 +348,7 @@ fn exec_loadf_c<const DOUBLE: bool, const IMM: bool>(
     Ok(Flow::Next)
 }
 
-fn exec_storef_c<const DOUBLE: bool, const IMM: bool>(
+fn exec_storef<const DOUBLE: bool, const IMM: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
@@ -433,142 +364,6 @@ fn exec_storef_c<const DOUBLE: bool, const IMM: bool>(
         bus.store32(addr, v).map_err(map)?;
     }
     Ok(Flow::Next)
-}
-
-// --- floating point (operand evenness is validated at predecode) ---
-
-macro_rules! fp_fn {
-    ($name:ident, |$cpu:ident, $op:ident| $body:expr) => {
-        fn $name($cpu: &mut Cpu, _bus: &mut Bus, $op: &DecodedOp) -> Result<Flow, ExecError> {
-            $body;
-            Ok(Flow::Next)
-        }
-    };
-}
-
-fp_fn!(exec_fmovs, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2));
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fnegs, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) ^ 0x8000_0000;
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fabss, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) & 0x7fff_ffff;
-    cpu.fset(freg(op.rd), v)
-});
-fp_fn!(exec_fsqrts, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v.sqrt())
-});
-fp_fn!(exec_fsqrtd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v.sqrt())
-});
-fp_fn!(exec_fadds, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) + cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fsubs, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) - cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fmuls, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) * cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fdivs, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) / cpu.fget_s(freg(op.rs2));
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_faddd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) + cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fsubd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) - cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fmuld, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) * cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fdivd, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs1)) / cpu.fget_d(freg(op.rs2));
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fsmuld, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs1)) as f64 * cpu.fget_s(freg(op.rs2)) as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fitos, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) as i32 as f32;
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fitod, |cpu, op| {
-    let v = cpu.fget(freg(op.rs2)) as i32 as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fstoi, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2));
-    cpu.fset(freg(op.rd), (v as i32) as u32)
-});
-fp_fn!(exec_fdtoi, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2));
-    cpu.fset(freg(op.rd), (v as i32) as u32)
-});
-fp_fn!(exec_fstod, |cpu, op| {
-    let v = cpu.fget_s(freg(op.rs2)) as f64;
-    cpu.fset_d(freg(op.rd), v)
-});
-fp_fn!(exec_fdtos, |cpu, op| {
-    let v = cpu.fget_d(freg(op.rs2)) as f32;
-    cpu.fset_s(freg(op.rd), v)
-});
-fp_fn!(exec_fcmps, |cpu, op| {
-    cpu.fcc = compare(
-        cpu.fget_s(freg(op.rs1)) as f64,
-        cpu.fget_s(freg(op.rs2)) as f64,
-    )
-});
-fp_fn!(exec_fcmpd, |cpu, op| {
-    cpu.fcc = compare(cpu.fget_d(freg(op.rs1)), cpu.fget_d(freg(op.rs2)))
-});
-
-// --- trap stubs: instructions whose predecoded form always traps ---
-
-#[cold]
-fn exec_fp_disabled(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::FpDisabled { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_odd_fp_pair(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::OddFpPair { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_odd_int_pair(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::OddIntPair { pc: op.pc }.into())
-}
-
-#[cold]
-fn exec_illegal(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(Trap::Illegal {
-        pc: op.pc,
-        word: op.imm,
-    }
-    .into())
-}
-
-/// Block-ending instructions (CTIs, `t<cond>`) must never be executed
-/// through the linear dispatch table; the table entry for them reports
-/// the routing violation as a typed error (never a panic), which the
-/// machine layer surfaces as `SimError::DispatchViolation`.
-#[cold]
-fn exec_not_linear(_cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    Err(ExecError::NotLinear { pc: op.pc })
 }
 
 // ---------------------------------------------------------------------------
@@ -634,11 +429,7 @@ pub(crate) fn fcc_mask(cond: FCond) -> u16 {
 /// trace is only ever entered from a sequential state, so
 /// `npc = pc + 4` at the guard.
 #[inline(always)]
-fn guard_taken<const ANNUL: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn guard_taken<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     if (op.mask >> icc_index(cpu)) & 1 != 0 {
         return Ok(Flow::Next);
     }
@@ -650,7 +441,7 @@ fn guard_taken<const ANNUL: bool>(
 /// side-exits into the delay-slot-then-target state when taken.
 /// `op.imm` holds the branch target.
 #[inline(always)]
-fn guard_untaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn guard_untaken(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     if (op.mask >> icc_index(cpu)) & 1 == 0 {
         return Ok(Flow::Next);
     }
@@ -658,11 +449,7 @@ fn guard_untaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, 
 }
 
 #[inline(always)]
-fn guard_ftaken<const ANNUL: bool>(
-    cpu: &mut Cpu,
-    _bus: &mut Bus,
-    op: &DecodedOp,
-) -> Result<Flow, ExecError> {
+fn guard_ftaken<const ANNUL: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     if (op.mask >> fcc_index(cpu)) & 1 != 0 {
         return Ok(Flow::Next);
     }
@@ -670,7 +457,7 @@ fn guard_ftaken<const ANNUL: bool>(
 }
 
 #[inline(always)]
-fn guard_funtaken(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn guard_funtaken(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     if (op.mask >> fcc_index(cpu)) & 1 == 0 {
         return Ok(Flow::Next);
     }
@@ -702,23 +489,8 @@ fn taken_exit(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, ExecError> {
     Ok(Flow::Exit)
 }
 
-/// `ba`/`ba,a`/`fba`/`fba,a` inside a trace: the transfer is
-/// unconditional and the successor blocks are inlined, so retiring the
-/// branch is a no-op.
-fn exec_retire(_cpu: &mut Cpu, _bus: &mut Bus, _op: &DecodedOp) -> Result<Flow, ExecError> {
-    Ok(Flow::Next)
-}
-
-/// `call` inside a trace: writes the return address (its own pc) to
-/// `%o7`; the target block is inlined after the delay slot.
-#[inline(always)]
-fn exec_call_link(cpu: &mut Cpu, _bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
-    cpu.set(nfp_sparc::regs::O7, op.pc);
-    Ok(Flow::Next)
-}
-
 // ---------------------------------------------------------------------------
-// Inline dispatch
+// Dispatch
 // ---------------------------------------------------------------------------
 
 /// `FpOp` variants in declaration order (same convention as
@@ -746,37 +518,42 @@ const FP_OPS: [FpOp; 20] = [
     FpOp::FdToS,
 ];
 
-/// Inline mirror of [`fpop_fn`]'s dispatch, keyed by the `aux` tag.
+/// FP arithmetic keyed by the `aux` tag (operand evenness is validated
+/// at predecode).
 #[inline(always)]
-fn exec_fp_aux(cpu: &mut Cpu, bus: &mut Bus, op: &DecodedOp) -> Result<Flow, ExecError> {
+fn exec_fp(cpu: &mut Cpu, op: &DecodedOp) {
     use FpOp::*;
+    let (rd, rs1, rs2) = (freg(op.rd), freg(op.rs1), freg(op.rs2));
     match FP_OPS[op.aux as usize] {
-        FMovS => exec_fmovs(cpu, bus, op),
-        FNegS => exec_fnegs(cpu, bus, op),
-        FAbsS => exec_fabss(cpu, bus, op),
-        FSqrtS => exec_fsqrts(cpu, bus, op),
-        FSqrtD => exec_fsqrtd(cpu, bus, op),
-        FAddS => exec_fadds(cpu, bus, op),
-        FAddD => exec_faddd(cpu, bus, op),
-        FSubS => exec_fsubs(cpu, bus, op),
-        FSubD => exec_fsubd(cpu, bus, op),
-        FMulS => exec_fmuls(cpu, bus, op),
-        FMulD => exec_fmuld(cpu, bus, op),
-        FDivS => exec_fdivs(cpu, bus, op),
-        FDivD => exec_fdivd(cpu, bus, op),
-        FsMulD => exec_fsmuld(cpu, bus, op),
-        FiToS => exec_fitos(cpu, bus, op),
-        FiToD => exec_fitod(cpu, bus, op),
-        FsToI => exec_fstoi(cpu, bus, op),
-        FdToI => exec_fdtoi(cpu, bus, op),
-        FsToD => exec_fstod(cpu, bus, op),
-        FdToS => exec_fdtos(cpu, bus, op),
+        FMovS => cpu.fset(rd, cpu.fget(rs2)),
+        FNegS => cpu.fset(rd, cpu.fget(rs2) ^ 0x8000_0000),
+        FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
+        FSqrtS => cpu.fset_s(rd, cpu.fget_s(rs2).sqrt()),
+        FSqrtD => cpu.fset_d(rd, cpu.fget_d(rs2).sqrt()),
+        FAddS => cpu.fset_s(rd, cpu.fget_s(rs1) + cpu.fget_s(rs2)),
+        FAddD => cpu.fset_d(rd, cpu.fget_d(rs1) + cpu.fget_d(rs2)),
+        FSubS => cpu.fset_s(rd, cpu.fget_s(rs1) - cpu.fget_s(rs2)),
+        FSubD => cpu.fset_d(rd, cpu.fget_d(rs1) - cpu.fget_d(rs2)),
+        FMulS => cpu.fset_s(rd, cpu.fget_s(rs1) * cpu.fget_s(rs2)),
+        FMulD => cpu.fset_d(rd, cpu.fget_d(rs1) * cpu.fget_d(rs2)),
+        FDivS => cpu.fset_s(rd, cpu.fget_s(rs1) / cpu.fget_s(rs2)),
+        FDivD => cpu.fset_d(rd, cpu.fget_d(rs1) / cpu.fget_d(rs2)),
+        FsMulD => cpu.fset_d(rd, cpu.fget_s(rs1) as f64 * cpu.fget_s(rs2) as f64),
+        FiToS => cpu.fset_s(rd, cpu.fget(rs2) as i32 as f32),
+        FiToD => cpu.fset_d(rd, cpu.fget(rs2) as i32 as f64),
+        FsToI => cpu.fset(rd, cpu.fget_s(rs2) as i32 as u32),
+        FdToI => cpu.fset(rd, cpu.fget_d(rs2) as i32 as u32),
+        FsToD => cpu.fset_d(rd, cpu.fget_s(rs2) as f64),
+        FdToS => cpu.fset_s(rd, cpu.fget_d(rs2) as f32),
     }
 }
 
-/// Error for an always-trapping table entry (`OpKind::Stub`): the
-/// same payloads the trap-stub exec fns carry, built inline so the
-/// hot loops never need their fn pointers.
+/// Error for an always-trapping entry (`OpKind::Stub`), selected by
+/// `aux`. `aux = 4` marks a block-ending instruction, which must never
+/// run from the linear table: its entry (or one
+/// [`ThreadedCache::corrupt`] writes) reports the routing violation as
+/// a typed error, which the machine layer surfaces as
+/// `SimError::DispatchViolation`.
 #[cold]
 fn stub_err(op: &DecodedOp) -> ExecError {
     match op.aux {
@@ -792,114 +569,103 @@ fn stub_err(op: &DecodedOp) -> ExecError {
     }
 }
 
-/// Executes one threaded op, inlining the hot kinds at the call site.
-///
-/// A pure fn-pointer loop pays a call/ret plus an opaque optimization
-/// barrier on every instruction; measured on the FSE kernel that is
-/// slower than the block path's inlined match. The `OpKind` tag lets
-/// the run loops keep the flat predecoded table but burn the common
-/// shapes (ALU, integer load/store, `sethi`, guards) into one branch
-/// target each, falling back to the indirect call for the long tail.
-///
-/// Each inline arm calls the *same* function its table pointer names
-/// (or its const-generic instantiation), and both the pointer and the
-/// tag are chosen by the same predecode arm, so the two dispatch
-/// roads cannot diverge semantically. A corrupted table entry
-/// ([`ThreadedCache::corrupt`]) carries the default `Generic` tag and
-/// therefore still reaches its routing-violation stub.
+/// Executes one predecoded op: one match on its [`OpKind`] tag, with
+/// the shape-specific semantics inlined into each arm.
 #[inline(always)]
-fn exec_top(t: &TOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecError> {
-    let op = &t.op;
+fn exec_op(op: &DecodedOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecError> {
     match op.kind {
-        OpKind::Generic => (t.exec)(cpu, bus, op),
         OpKind::Nop => Ok(Flow::Next),
-        OpKind::Sethi => exec_sethi(cpu, bus, op),
-        OpKind::AluImm => {
-            let a = cpu.get(reg(op.rs1));
-            let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, op.imm, op.pc)?;
-            cpu.set(reg(op.rd), r);
+        OpKind::Sethi => {
+            cpu.set(reg(op.rd), op.imm);
             Ok(Flow::Next)
         }
+        OpKind::AluImm => exec_alu_op(cpu, op, op.imm),
         OpKind::AluReg => {
-            let a = cpu.get(reg(op.rs1));
             let b = cpu.get(reg(op.rs2));
-            let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
-            cpu.set(reg(op.rd), r);
-            Ok(Flow::Next)
+            exec_alu_op(cpu, op, b)
         }
         OpKind::LoadImm => match op.aux {
-            0 => exec_load_c::<0, false, true>(cpu, bus, op),
-            1 => exec_load_c::<1, false, true>(cpu, bus, op),
-            2 => exec_load_c::<2, false, true>(cpu, bus, op),
-            3 => exec_load_c::<3, false, true>(cpu, bus, op),
-            4 => exec_load_c::<0, true, true>(cpu, bus, op),
-            _ => exec_load_c::<1, true, true>(cpu, bus, op),
+            0 => exec_load::<0, false, true>(cpu, bus, op),
+            1 => exec_load::<1, false, true>(cpu, bus, op),
+            2 => exec_load::<2, false, true>(cpu, bus, op),
+            3 => exec_load::<3, false, true>(cpu, bus, op),
+            4 => exec_load::<0, true, true>(cpu, bus, op),
+            _ => exec_load::<1, true, true>(cpu, bus, op),
         },
         OpKind::LoadReg => match op.aux {
-            0 => exec_load_c::<0, false, false>(cpu, bus, op),
-            1 => exec_load_c::<1, false, false>(cpu, bus, op),
-            2 => exec_load_c::<2, false, false>(cpu, bus, op),
-            3 => exec_load_c::<3, false, false>(cpu, bus, op),
-            4 => exec_load_c::<0, true, false>(cpu, bus, op),
-            _ => exec_load_c::<1, true, false>(cpu, bus, op),
+            0 => exec_load::<0, false, false>(cpu, bus, op),
+            1 => exec_load::<1, false, false>(cpu, bus, op),
+            2 => exec_load::<2, false, false>(cpu, bus, op),
+            3 => exec_load::<3, false, false>(cpu, bus, op),
+            4 => exec_load::<0, true, false>(cpu, bus, op),
+            _ => exec_load::<1, true, false>(cpu, bus, op),
         },
         OpKind::StoreImm => match op.aux {
-            0 => exec_store_c::<0, true>(cpu, bus, op),
-            1 => exec_store_c::<1, true>(cpu, bus, op),
-            2 => exec_store_c::<2, true>(cpu, bus, op),
-            _ => exec_store_c::<3, true>(cpu, bus, op),
+            0 => exec_store::<0, true>(cpu, bus, op),
+            1 => exec_store::<1, true>(cpu, bus, op),
+            2 => exec_store::<2, true>(cpu, bus, op),
+            _ => exec_store::<3, true>(cpu, bus, op),
         },
         OpKind::StoreReg => match op.aux {
-            0 => exec_store_c::<0, false>(cpu, bus, op),
-            1 => exec_store_c::<1, false>(cpu, bus, op),
-            2 => exec_store_c::<2, false>(cpu, bus, op),
-            _ => exec_store_c::<3, false>(cpu, bus, op),
+            0 => exec_store::<0, false>(cpu, bus, op),
+            1 => exec_store::<1, false>(cpu, bus, op),
+            2 => exec_store::<2, false>(cpu, bus, op),
+            _ => exec_store::<3, false>(cpu, bus, op),
         },
-        OpKind::GuardTaken => guard_taken::<false>(cpu, bus, op),
-        OpKind::GuardTakenAnnul => guard_taken::<true>(cpu, bus, op),
-        OpKind::GuardUntaken => guard_untaken(cpu, bus, op),
-        OpKind::GuardFTaken => guard_ftaken::<false>(cpu, bus, op),
-        OpKind::GuardFTakenAnnul => guard_ftaken::<true>(cpu, bus, op),
-        OpKind::GuardFUntaken => guard_funtaken(cpu, bus, op),
-        OpKind::CallLink => exec_call_link(cpu, bus, op),
-        OpKind::RdY => exec_rdy(cpu, bus, op),
-        OpKind::WrYImm => exec_wry_c::<true>(cpu, bus, op),
-        OpKind::WrYReg => exec_wry_c::<false>(cpu, bus, op),
-        OpKind::SaveImm => exec_save_c::<true>(cpu, bus, op),
-        OpKind::SaveReg => exec_save_c::<false>(cpu, bus, op),
-        OpKind::RestoreImm => exec_restore_c::<true>(cpu, bus, op),
-        OpKind::RestoreReg => exec_restore_c::<false>(cpu, bus, op),
-        OpKind::LoadFImm => {
-            if op.aux != 0 {
-                exec_loadf_c::<true, true>(cpu, bus, op)
-            } else {
-                exec_loadf_c::<false, true>(cpu, bus, op)
-            }
+        OpKind::GuardTaken => guard_taken::<false>(cpu, op),
+        OpKind::GuardTakenAnnul => guard_taken::<true>(cpu, op),
+        OpKind::GuardUntaken => guard_untaken(cpu, op),
+        OpKind::GuardFTaken => guard_ftaken::<false>(cpu, op),
+        OpKind::GuardFTakenAnnul => guard_ftaken::<true>(cpu, op),
+        OpKind::GuardFUntaken => guard_funtaken(cpu, op),
+        OpKind::CallLink => {
+            // Writes the return address (the call's own pc) to `%o7`;
+            // the target block is inlined after the delay slot.
+            cpu.set(nfp_sparc::regs::O7, op.pc);
+            Ok(Flow::Next)
         }
-        OpKind::LoadFReg => {
-            if op.aux != 0 {
-                exec_loadf_c::<true, false>(cpu, bus, op)
-            } else {
-                exec_loadf_c::<false, false>(cpu, bus, op)
-            }
+        OpKind::RdY => {
+            let y = cpu.y;
+            cpu.set(reg(op.rd), y);
+            Ok(Flow::Next)
         }
-        OpKind::StoreFImm => {
-            if op.aux != 0 {
-                exec_storef_c::<true, true>(cpu, bus, op)
-            } else {
-                exec_storef_c::<false, true>(cpu, bus, op)
-            }
+        OpKind::WrYImm => exec_wry::<true>(cpu, op),
+        OpKind::WrYReg => exec_wry::<false>(cpu, op),
+        OpKind::SaveImm => exec_save::<true>(cpu, op),
+        OpKind::SaveReg => exec_save::<false>(cpu, op),
+        OpKind::RestoreImm => exec_restore::<true>(cpu, op),
+        OpKind::RestoreReg => exec_restore::<false>(cpu, op),
+        OpKind::LoadFImm => match op.aux {
+            0 => exec_loadf::<false, true>(cpu, bus, op),
+            _ => exec_loadf::<true, true>(cpu, bus, op),
+        },
+        OpKind::LoadFReg => match op.aux {
+            0 => exec_loadf::<false, false>(cpu, bus, op),
+            _ => exec_loadf::<true, false>(cpu, bus, op),
+        },
+        OpKind::StoreFImm => match op.aux {
+            0 => exec_storef::<false, true>(cpu, bus, op),
+            _ => exec_storef::<true, true>(cpu, bus, op),
+        },
+        OpKind::StoreFReg => match op.aux {
+            0 => exec_storef::<false, false>(cpu, bus, op),
+            _ => exec_storef::<true, false>(cpu, bus, op),
+        },
+        OpKind::Fp => {
+            exec_fp(cpu, op);
+            Ok(Flow::Next)
         }
-        OpKind::StoreFReg => {
-            if op.aux != 0 {
-                exec_storef_c::<true, false>(cpu, bus, op)
-            } else {
-                exec_storef_c::<false, false>(cpu, bus, op)
-            }
+        OpKind::FCmpS => {
+            cpu.fcc = compare(
+                cpu.fget_s(freg(op.rs1)) as f64,
+                cpu.fget_s(freg(op.rs2)) as f64,
+            );
+            Ok(Flow::Next)
         }
-        OpKind::Fp => exec_fp_aux(cpu, bus, op),
-        OpKind::FCmpS => exec_fcmps(cpu, bus, op),
-        OpKind::FCmpD => exec_fcmpd(cpu, bus, op),
+        OpKind::FCmpD => {
+            cpu.fcc = compare(cpu.fget_d(freg(op.rs1)), cpu.fget_d(freg(op.rs2)));
+            Ok(Flow::Next)
+        }
         OpKind::Stub => Err(stub_err(op)),
     }
 }
@@ -909,78 +675,26 @@ fn exec_top(t: &TOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecError> {
 /// error, if any. Outlined from the machine run loop for the same
 /// register-allocation reason as [`Trace::run`].
 #[inline(never)]
-pub(crate) fn run_tops(tops: &[TOp], cpu: &mut Cpu, bus: &mut Bus) -> (usize, Option<ExecError>) {
-    for (k, t) in tops.iter().enumerate() {
-        if let Err(e) = exec_top(t, cpu, bus) {
+pub(crate) fn run_ops(
+    ops: &[DecodedOp],
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+) -> (usize, Option<ExecError>) {
+    for (k, op) in ops.iter().enumerate() {
+        if let Err(e) = exec_op(op, cpu, bus) {
             return (k, Some(e));
         }
     }
-    (tops.len(), None)
+    (ops.len(), None)
 }
 
 // ---------------------------------------------------------------------------
-// Predecode: instruction -> threaded op
+// Predecode: instruction -> DecodedOp
 // ---------------------------------------------------------------------------
-
-fn load_fn(size: MemSize, signed: bool, imm: bool) -> ExecFn {
-    match (size, signed, imm) {
-        (MemSize::Byte, false, false) => exec_load_c::<0, false, false>,
-        (MemSize::Byte, false, true) => exec_load_c::<0, false, true>,
-        (MemSize::Byte, true, false) => exec_load_c::<0, true, false>,
-        (MemSize::Byte, true, true) => exec_load_c::<0, true, true>,
-        (MemSize::Half, false, false) => exec_load_c::<1, false, false>,
-        (MemSize::Half, false, true) => exec_load_c::<1, false, true>,
-        (MemSize::Half, true, false) => exec_load_c::<1, true, false>,
-        (MemSize::Half, true, true) => exec_load_c::<1, true, true>,
-        (MemSize::Word, _, false) => exec_load_c::<2, false, false>,
-        (MemSize::Word, _, true) => exec_load_c::<2, false, true>,
-        (MemSize::Double, _, false) => exec_load_c::<3, false, false>,
-        (MemSize::Double, _, true) => exec_load_c::<3, false, true>,
-    }
-}
-
-fn store_fn(size: MemSize, imm: bool) -> ExecFn {
-    match (size, imm) {
-        (MemSize::Byte, false) => exec_store_c::<0, false>,
-        (MemSize::Byte, true) => exec_store_c::<0, true>,
-        (MemSize::Half, false) => exec_store_c::<1, false>,
-        (MemSize::Half, true) => exec_store_c::<1, true>,
-        (MemSize::Word, false) => exec_store_c::<2, false>,
-        (MemSize::Word, true) => exec_store_c::<2, true>,
-        (MemSize::Double, false) => exec_store_c::<3, false>,
-        (MemSize::Double, true) => exec_store_c::<3, true>,
-    }
-}
-
-fn fpop_fn(op: FpOp) -> ExecFn {
-    use FpOp::*;
-    match op {
-        FMovS => exec_fmovs,
-        FNegS => exec_fnegs,
-        FAbsS => exec_fabss,
-        FSqrtS => exec_fsqrts,
-        FSqrtD => exec_fsqrtd,
-        FAddS => exec_fadds,
-        FAddD => exec_faddd,
-        FSubS => exec_fsubs,
-        FSubD => exec_fsubd,
-        FMulS => exec_fmuls,
-        FMulD => exec_fmuld,
-        FDivS => exec_fdivs,
-        FDivD => exec_fdivd,
-        FsMulD => exec_fsmuld,
-        FiToS => exec_fitos,
-        FiToD => exec_fitod,
-        FsToI => exec_fstoi,
-        FdToI => exec_fdtoi,
-        FsToD => exec_fstod,
-        FdToS => exec_fdtos,
-    }
-}
 
 /// True when `op`'s double-precision operands all name even registers
 /// (the evenness `exec_fpop` enforces at run time, hoisted to
-/// predecode; violators dispatch straight to [`exec_odd_fp_pair`]).
+/// predecode; violators become an odd-pair [`OpKind::Stub`]).
 fn fp_even_ok(op: FpOp, rd: FReg, rs1: FReg, rs2: FReg) -> bool {
     use FpOp::*;
     match op {
@@ -992,7 +706,8 @@ fn fp_even_ok(op: FpOp, rd: FReg, rs1: FReg, rs2: FReg) -> bool {
     }
 }
 
-/// Splits `op2` into the decoded record; returns the `IMM` selector.
+/// Splits `op2` into the decoded record; returns true for the
+/// immediate form.
 fn split_op2(op2: Operand, d: &mut DecodedOp) -> bool {
     match op2 {
         Operand::Reg(r) => {
@@ -1006,10 +721,6 @@ fn split_op2(op2: Operand, d: &mut DecodedOp) -> bool {
     }
 }
 
-/// Predecodes one instruction into its threaded op. Shape decisions
-/// that `exec_linear` makes per retirement — operand form, width,
-/// signedness, FPU presence, register-pair evenness — are made once
-/// here and burned into the function pointer.
 /// `SIZE` code used by the const-generic memory fns and `aux` tags:
 /// 0 = byte, 1 = half, 2 = word, 3 = doubleword.
 fn size_code(size: MemSize) -> u8 {
@@ -1021,69 +732,63 @@ fn size_code(size: MemSize) -> u8 {
     }
 }
 
-fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
-    let mut d = DecodedOp::at(pc);
-    let exec: ExecFn = match instr {
+/// Predecodes one instruction into its op. Shape decisions that
+/// `exec_linear` makes per retirement — operand form, width,
+/// signedness, FPU presence, register-pair evenness — are made once
+/// here and recorded in `kind` and `aux`.
+fn predecode_op(instr: Instr, pc: u32, fpu: bool) -> DecodedOp {
+    let mut d = DecodedOp::at(pc, OpKind::Stub);
+    d.kind = match instr {
         Instr::Sethi { rd, imm22 } => {
             if rd.is_zero() {
-                d.kind = OpKind::Nop;
-                exec_nop
+                OpKind::Nop
             } else {
                 d.rd = rd.num();
                 d.imm = imm22 << 10;
-                d.kind = OpKind::Sethi;
-                exec_sethi
+                OpKind::Sethi
             }
         }
         Instr::Alu { op, rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
-            let imm = split_op2(op2, &mut d);
-            d.kind = if imm { OpKind::AluImm } else { OpKind::AluReg };
             d.aux = op as u8;
-            alu_fn(op, imm)
+            if split_op2(op2, &mut d) {
+                OpKind::AluImm
+            } else {
+                OpKind::AluReg
+            }
         }
         Instr::RdY { rd } => {
             d.rd = rd.num();
-            d.kind = OpKind::RdY;
-            exec_rdy
+            OpKind::RdY
         }
         Instr::WrY { rs1, op2 } => {
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::WrYImm;
-                exec_wry_c::<true>
+                OpKind::WrYImm
             } else {
-                d.kind = OpKind::WrYReg;
-                exec_wry_c::<false>
+                OpKind::WrYReg
             }
         }
         Instr::Save { rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::SaveImm;
-                exec_save_c::<true>
+                OpKind::SaveImm
             } else {
-                d.kind = OpKind::SaveReg;
-                exec_save_c::<false>
+                OpKind::SaveReg
             }
         }
         Instr::Restore { rd, rs1, op2 } => {
             d.rd = rd.num();
             d.rs1 = rs1.num();
             if split_op2(op2, &mut d) {
-                d.kind = OpKind::RestoreImm;
-                exec_restore_c::<true>
+                OpKind::RestoreImm
             } else {
-                d.kind = OpKind::RestoreReg;
-                exec_restore_c::<false>
+                OpKind::RestoreReg
             }
         }
-        Instr::Flush { .. } => {
-            d.kind = OpKind::Nop;
-            exec_nop
-        }
+        Instr::Flush { .. } => OpKind::Nop,
         Instr::Load {
             size,
             signed,
@@ -1095,20 +800,17 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if size == MemSize::Double && rd.num() % 2 != 0 {
-                d.kind = OpKind::Stub;
                 d.aux = 3;
-                exec_odd_int_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                // Signedness only exists below word width.
+                let sgn = signed && matches!(size, MemSize::Byte | MemSize::Half);
+                d.aux = size_code(size) | (sgn as u8) << 2;
+                if imm {
                     OpKind::LoadImm
                 } else {
                     OpKind::LoadReg
-                };
-                // Signedness only exists below word width (mirrors
-                // `load_fn`, which maps word/double to SIGNED=false).
-                let sgn = signed && matches!(size, MemSize::Byte | MemSize::Half);
-                d.aux = size_code(size) | (sgn as u8) << 2;
-                load_fn(size, signed, imm)
+                }
             }
         }
         Instr::Store { size, rd, rs1, op2 } => {
@@ -1116,17 +818,15 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if size == MemSize::Double && rd.num() % 2 != 0 {
-                d.kind = OpKind::Stub;
                 d.aux = 3;
-                exec_odd_int_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = size_code(size);
+                if imm {
                     OpKind::StoreImm
                 } else {
                     OpKind::StoreReg
-                };
-                d.aux = size_code(size);
-                store_fn(size, imm)
+                }
             }
         }
         Instr::LoadF {
@@ -1139,25 +839,17 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && !rd.is_even() {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = double as u8;
+                if imm {
                     OpKind::LoadFImm
                 } else {
                     OpKind::LoadFReg
-                };
-                d.aux = double as u8;
-                match (double, imm) {
-                    (false, false) => exec_loadf_c::<false, false>,
-                    (false, true) => exec_loadf_c::<false, true>,
-                    (true, false) => exec_loadf_c::<true, false>,
-                    (true, true) => exec_loadf_c::<true, true>,
                 }
             }
         }
@@ -1171,25 +863,17 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             let imm = split_op2(op2, &mut d);
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && !rd.is_even() {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = if imm {
+                d.aux = double as u8;
+                if imm {
                     OpKind::StoreFImm
                 } else {
                     OpKind::StoreFReg
-                };
-                d.aux = double as u8;
-                match (double, imm) {
-                    (false, false) => exec_storef_c::<false, false>,
-                    (false, true) => exec_storef_c::<false, true>,
-                    (true, false) => exec_storef_c::<true, false>,
-                    (true, true) => exec_storef_c::<true, true>,
                 }
             }
         }
@@ -1198,17 +882,14 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             d.rs2 = rs2.num();
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if !fp_even_ok(op, rd, rs1, rs2) {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else {
-                d.kind = OpKind::Fp;
                 d.aux = op as u8;
-                fpop_fn(op)
+                OpKind::Fp
             }
         }
         Instr::FCmp {
@@ -1217,30 +898,20 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
             d.rs1 = rs1.num();
             d.rs2 = rs2.num();
             if !fpu {
-                d.kind = OpKind::Stub;
                 d.aux = 1;
-                exec_fp_disabled
+                OpKind::Stub
             } else if double && (!rs1.is_even() || !rs2.is_even()) {
-                d.kind = OpKind::Stub;
                 d.aux = 2;
-                exec_odd_fp_pair
+                OpKind::Stub
             } else if double {
-                d.kind = OpKind::FCmpD;
-                exec_fcmpd
+                OpKind::FCmpD
             } else {
-                d.kind = OpKind::FCmpS;
-                exec_fcmps
+                OpKind::FCmpS
             }
         }
-        Instr::Unimp { const22 } => {
-            d.imm = const22;
-            d.kind = OpKind::Stub;
-            exec_illegal
-        }
-        Instr::Illegal { word } => {
+        Instr::Unimp { const22: word } | Instr::Illegal { word } => {
             d.imm = word;
-            d.kind = OpKind::Stub;
-            exec_illegal
+            OpKind::Stub
         }
         // Block enders never execute through the linear table.
         Instr::Branch { .. }
@@ -1248,19 +919,18 @@ fn top_for(instr: Instr, pc: u32, fpu: bool) -> TOp {
         | Instr::Call { .. }
         | Instr::Jmpl { .. }
         | Instr::Ticc { .. } => {
-            d.kind = OpKind::Stub;
             d.aux = 4;
-            exec_not_linear
+            OpKind::Stub
         }
     };
-    TOp { exec, op: d }
+    d
 }
 
-/// Flat threaded dispatch table: one [`TOp`] per predecoded image
+/// Flat dispatch table: one [`DecodedOp`] per predecoded image
 /// instruction, same indexing as the image (`(pc - base) / 4`).
 #[derive(Debug)]
 pub(crate) struct ThreadedCache {
-    ops: Vec<TOp>,
+    ops: Vec<DecodedOp>,
 }
 
 impl ThreadedCache {
@@ -1270,12 +940,12 @@ impl ThreadedCache {
         let ops = code
             .iter()
             .enumerate()
-            .map(|(i, &(instr, _))| top_for(instr, base.wrapping_add((i as u32) * 4), fpu))
+            .map(|(i, &(instr, _))| predecode_op(instr, base.wrapping_add((i as u32) * 4), fpu))
             .collect();
         ThreadedCache { ops }
     }
 
-    pub fn ops(&self) -> &[TOp] {
+    pub fn ops(&self) -> &[DecodedOp] {
         &self.ops
     }
 
@@ -1284,10 +954,10 @@ impl ThreadedCache {
     /// surface execution of it as `SimError::DispatchViolation`, not a
     /// panic.
     pub fn corrupt(&mut self, index: usize) {
-        let pc = self.ops[index].op.pc;
-        self.ops[index] = TOp {
-            exec: exec_not_linear,
-            op: DecodedOp::at(pc),
+        let pc = self.ops[index].pc;
+        self.ops[index] = DecodedOp {
+            aux: 4,
+            ..DecodedOp::at(pc, OpKind::Stub)
         };
     }
 }
@@ -1317,7 +987,7 @@ pub(crate) enum TraceHalt {
 /// restoration and category prefix sums for one-commit accounting.
 #[derive(Debug)]
 pub(crate) struct Trace {
-    ops: Vec<TOp>,
+    ops: Vec<DecodedOp>,
     /// `meta[k]` = the `(pc, npc)` the stepping path would hold when
     /// about to execute op `k`; restored when op `k` traps.
     meta: Vec<(u32, u32)>,
@@ -1353,8 +1023,8 @@ impl Trace {
     /// (large) run loop measurably degrades its register allocation.
     #[inline(never)]
     pub fn run(&self, cpu: &mut Cpu, bus: &mut Bus) -> TraceHalt {
-        for (k, t) in self.ops.iter().enumerate() {
-            match exec_top(t, cpu, bus) {
+        for (k, op) in self.ops.iter().enumerate() {
+            match exec_op(op, cpu, bus) {
                 Ok(Flow::Next) => {}
                 Ok(Flow::Exit) => return TraceHalt::Exited { retired: k + 1 },
                 Err(err) => return TraceHalt::Trapped { at: k, err },
@@ -1370,7 +1040,7 @@ pub(crate) enum TraceSlot {
     /// Not yet attempted.
     Untried,
     /// Attempted, but no chaining opportunity was found (single block);
-    /// the plain threaded-block path is already optimal there.
+    /// the flat table ([`run_ops`]) is already optimal there.
     Absent,
     /// A formed superblock.
     Present(Box<Trace>),
@@ -1440,13 +1110,13 @@ pub(crate) fn build_trace(
     code: &[(Instr, Category)],
     base: u32,
     blocks: &BlockCache,
-    tops: &[TOp],
+    table: &[DecodedOp],
     fpu: bool,
     start: usize,
 ) -> TraceSlot {
     let n = code.len();
     let pc_of = |i: usize| base.wrapping_add((i as u32) * 4);
-    let mut ops: Vec<TOp> = Vec::new();
+    let mut ops: Vec<DecodedOp> = Vec::new();
     let mut meta: Vec<(u32, u32)> = Vec::new();
     let mut cats: Vec<Category> = Vec::new();
     let mut chained = 0usize;
@@ -1461,7 +1131,7 @@ pub(crate) fn build_trace(
                 end_pc = pc_of(i);
                 break 'build;
             }
-            ops.push(tops[i]);
+            ops.push(table[i]);
             meta.push((pc_of(i), pc_of(i).wrapping_add(4)));
             cats.push(code[i].1);
         }
@@ -1480,8 +1150,8 @@ pub(crate) fn build_trace(
         // A taken chain inlines the delay slot, which must exist and
         // be linear (a CTI in a delay slot is left to the step path).
         let delay_ok = e + 1 < n && !code[e + 1].0.ends_block();
-        let mut push = |t: TOp, m: (u32, u32), c: Category| {
-            ops.push(t);
+        let mut push = |op: DecodedOp, m: (u32, u32), c: Category| {
+            ops.push(op);
             meta.push(m);
             cats.push(c);
         };
@@ -1499,21 +1169,17 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
+                    // The transfer is unconditional and the successor
+                    // blocks are inlined, so retiring it is a no-op.
                     push(
-                        TOp {
-                            exec: exec_retire,
-                            op: DecodedOp {
-                                kind: OpKind::Nop,
-                                ..DecodedOp::at(epc)
-                            },
-                        },
+                        DecodedOp::at(epc, OpKind::Nop),
                         (epc, epc.wrapping_add(4)),
                         ecat,
                     );
                     if !annul {
                         // `ba` executes its delay slot; `ba,a` annuls
                         // it (never retires, so never emitted).
-                        push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
+                        push(table[e + 1], (pc_of(e + 1), target), code[e + 1].1);
                     }
                     chained += 1;
                     t
@@ -1523,17 +1189,15 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = icc_mask(cond);
-                    let g: ExecFn = if annul {
-                        gop.kind = OpKind::GuardTakenAnnul;
-                        guard_taken::<true>
+                    let kind = if annul {
+                        OpKind::GuardTakenAnnul
                     } else {
-                        gop.kind = OpKind::GuardTaken;
-                        guard_taken::<false>
+                        OpKind::GuardTaken
                     };
-                    push(TOp { exec: g, op: gop }, (epc, epc.wrapping_add(4)), ecat);
-                    push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
+                    let mut gop = DecodedOp::at(epc, kind);
+                    gop.mask = icc_mask(cond);
+                    push(gop, (epc, epc.wrapping_add(4)), ecat);
+                    push(table[e + 1], (pc_of(e + 1), target), code[e + 1].1);
                     chained += 1;
                     t
                 } else {
@@ -1544,22 +1208,14 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
-                    let mut gop = DecodedOp::at(epc);
+                    let mut gop = DecodedOp::at(epc, OpKind::GuardUntaken);
                     gop.mask = icc_mask(cond);
                     gop.imm = target;
-                    gop.kind = OpKind::GuardUntaken;
-                    push(
-                        TOp {
-                            exec: guard_untaken,
-                            op: gop,
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
+                    push(gop, (epc, epc.wrapping_add(4)), ecat);
                     if !annul {
                         // Untaken non-annulling branch still executes
                         // its delay slot.
-                        push(tops[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
+                        push(table[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
                     }
                     chained += 1;
                     e + 2
@@ -1578,19 +1234,15 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
+                    // The transfer is unconditional and the successor
+                    // blocks are inlined, so retiring it is a no-op.
                     push(
-                        TOp {
-                            exec: exec_retire,
-                            op: DecodedOp {
-                                kind: OpKind::Nop,
-                                ..DecodedOp::at(epc)
-                            },
-                        },
+                        DecodedOp::at(epc, OpKind::Nop),
                         (epc, epc.wrapping_add(4)),
                         ecat,
                     );
                     if !annul {
-                        push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
+                        push(table[e + 1], (pc_of(e + 1), target), code[e + 1].1);
                     }
                     chained += 1;
                     t
@@ -1599,17 +1251,15 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
-                    let mut gop = DecodedOp::at(epc);
-                    gop.mask = fcc_mask(cond);
-                    let g: ExecFn = if annul {
-                        gop.kind = OpKind::GuardFTakenAnnul;
-                        guard_ftaken::<true>
+                    let kind = if annul {
+                        OpKind::GuardFTakenAnnul
                     } else {
-                        gop.kind = OpKind::GuardFTaken;
-                        guard_ftaken::<false>
+                        OpKind::GuardFTaken
                     };
-                    push(TOp { exec: g, op: gop }, (epc, epc.wrapping_add(4)), ecat);
-                    push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
+                    let mut gop = DecodedOp::at(epc, kind);
+                    gop.mask = fcc_mask(cond);
+                    push(gop, (epc, epc.wrapping_add(4)), ecat);
+                    push(table[e + 1], (pc_of(e + 1), target), code[e + 1].1);
                     chained += 1;
                     t
                 } else {
@@ -1617,20 +1267,12 @@ pub(crate) fn build_trace(
                         end_pc = epc;
                         break;
                     }
-                    let mut gop = DecodedOp::at(epc);
+                    let mut gop = DecodedOp::at(epc, OpKind::GuardFUntaken);
                     gop.mask = fcc_mask(cond);
                     gop.imm = target;
-                    gop.kind = OpKind::GuardFUntaken;
-                    push(
-                        TOp {
-                            exec: guard_funtaken,
-                            op: gop,
-                        },
-                        (epc, epc.wrapping_add(4)),
-                        ecat,
-                    );
+                    push(gop, (epc, epc.wrapping_add(4)), ecat);
                     if !annul {
-                        push(tops[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
+                        push(table[e + 1], (pc_of(e + 1), pc_of(e + 2)), code[e + 1].1);
                     }
                     chained += 1;
                     e + 2
@@ -1645,17 +1287,11 @@ pub(crate) fn build_trace(
                     break;
                 }
                 push(
-                    TOp {
-                        exec: exec_call_link,
-                        op: DecodedOp {
-                            kind: OpKind::CallLink,
-                            ..DecodedOp::at(epc)
-                        },
-                    },
+                    DecodedOp::at(epc, OpKind::CallLink),
                     (epc, epc.wrapping_add(4)),
                     ecat,
                 );
-                push(tops[e + 1], (pc_of(e + 1), target), code[e + 1].1);
+                push(table[e + 1], (pc_of(e + 1), target), code[e + 1].1);
                 chained += 1;
                 t
             }

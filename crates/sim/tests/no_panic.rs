@@ -65,8 +65,8 @@ proptest! {
     }
 
     // The same arbitrary stream must behave identically under every
-    // dispatch mode even when it is garbage: block batching, threaded
-    // dispatch, and superblock traces are optimisations, not semantic
+    // dispatch mode even when it is garbage: superblock traces and
+    // the flat dispatch table are optimisations, not semantic
     // switches, and corrupted code is exactly what fault campaigns
     // execute through them.
     #[test]
@@ -82,24 +82,23 @@ proptest! {
             (format!("{res:?}"), m.instret(), *m.counts())
         };
         let stepped = observe(Dispatch::Step);
-        for d in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+        for d in Dispatch::ALL {
             prop_assert_eq!(&stepped, &observe(d), "{} diverged from step", d);
         }
     }
 
-    // A corrupted threaded dispatch-table entry (a linear instruction
-    // whose entry claims it is a block ender) must surface as the
-    // typed `SimError::DispatchViolation` — never a panic and never a
-    // silently wrong run — whether it is hit through the flat
-    // threaded path or mid-superblock through a trace.
+    // A corrupted dispatch-table entry (a linear instruction whose
+    // entry claims it is a block ender) must surface as the typed
+    // `SimError::DispatchViolation` — never a panic and never a
+    // silently wrong run — whether the traced path hits it through
+    // the flat table or mid-superblock.
     #[test]
     fn corrupted_dispatch_entries_never_panic(
         words in prop::collection::vec(any::<u32>(), 4..64),
         index in 0usize..64,
-        dispatch in any::<bool>().prop_map(|t| if t { Dispatch::Traced } else { Dispatch::Threaded }),
         recover in any::<bool>(),
     ) {
-        let mut m = small_machine(dispatch, recover, true);
+        let mut m = small_machine(Dispatch::Traced, recover, true);
         m.load_image(RAM_BASE, &words).expect("image loads");
         let corrupted = m.test_corrupt_dispatch(index % words.len());
         let wd = Watchdog { max_instrs: 5_000, wall: Some(Duration::from_secs(5)) };

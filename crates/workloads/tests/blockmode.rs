@@ -1,9 +1,9 @@
 //! Differential validation of batched NFP accounting: on real
-//! workload kernels and on randomly generated SPARC programs, every
-//! accelerated dispatch mode — block batching, threaded code, and
-//! superblock traces — must be bit-identical to per-instruction
-//! stepping: category counters, dynamic instruction count, exit
-//! status, CPU registers, and RAM contents.
+//! workload kernels and on randomly generated SPARC programs, the
+//! traced fast path — superblock traces and the flat dispatch table —
+//! must be bit-identical to per-instruction stepping: category
+//! counters, dynamic instruction count, exit status, CPU registers,
+//! and RAM contents.
 
 use nfp_cc::FloatMode;
 use nfp_sim::fault::{inject, plan, undo, FaultSpace};
@@ -39,7 +39,7 @@ fn assert_kernel_modes_agree(kernel: &nfp_workloads::Kernel, mode: FloatMode) {
         Dispatch::Step,
         KERNEL_BUDGET,
     );
-    for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+    for dispatch in Dispatch::ALL {
         let batched = observe(
             machine_for(kernel, mode).expect("machine"),
             dispatch,
@@ -100,7 +100,7 @@ fn assert_synthetic_agrees(
     budget: u64,
 ) -> Result<(), TestCaseError> {
     let stepped = observe(boot_synthetic(words, policy), Dispatch::Step, budget);
-    for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+    for dispatch in Dispatch::ALL {
         let batched = observe(boot_synthetic(words, policy), dispatch, budget);
         prop_assert_eq!(&stepped, &batched, "{} diverged from step", dispatch);
     }
@@ -111,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random straight-line programs: every instruction is batchable,
-    /// so this pins the pure block/threaded accounting paths
+    /// so this pins the flat-table accounting path
     /// (including the doubleword memory traffic the generator emits).
     #[test]
     fn straight_line_programs_agree(body in 4usize..120, seed in 0u64..10_000) {
@@ -185,7 +185,7 @@ proptest! {
             )
         };
         let stepped = observe_faulted(Dispatch::Step);
-        for dispatch in [Dispatch::Block, Dispatch::Threaded, Dispatch::Traced] {
+        for dispatch in Dispatch::ALL {
             prop_assert_eq!(&stepped, &observe_faulted(dispatch), "{} diverged", dispatch);
         }
     }
