@@ -1,18 +1,21 @@
 //! Architectural execution semantics — the "morph functions" of the
-//! paper's Fig. 2/3, grouped exactly as the instruction enum groups
-//! them (one match arm per instruction group).
+//! paper's Fig. 2/3.
 //!
-//! [`step`] executes one predecoded instruction, updating CPU and bus
-//! state and advancing the `pc`/`npc` pair (SPARC's delay-slot
-//! architecture). An [`Observer`] receives an [`ExecInfo`] record per
+//! [`step`] executes one instruction, updating CPU and bus state and
+//! advancing the `pc`/`npc` pair (SPARC's delay-slot architecture). It
+//! resolves the control transfers and `t<cond>` itself and runs every
+//! other instruction through its entry in the predecoded op table
+//! (`threaded::exec_op`), the same semantics the traced fast path
+//! executes. An [`Observer`] receives an [`ExecInfo`] record per
 //! instruction; the detailed hardware model in `nfp-testbed` uses it to
 //! charge context-dependent cycle and energy costs, while the plain ISS
 //! runs with the zero-cost [`NullObserver`].
 
 use crate::bus::{Bus, BusFault};
 use crate::cpu::Cpu;
+use crate::threaded::{exec_op, DecodedOp};
 use nfp_sparc::cond::{FccValue, ICond};
-use nfp_sparc::{AluOp, Category, FpOp, Instr, MemSize, Operand};
+use nfp_sparc::{AluOp, Category, Instr, Operand};
 
 /// Execution-time fault. On real hardware these vector into trap
 /// handlers; the bare-metal simulator surfaces them as errors, except
@@ -122,7 +125,7 @@ pub struct ExecInfo {
 }
 
 impl ExecInfo {
-    pub(crate) fn new(pc: u32, instr: Instr, category: Category) -> Self {
+    pub(crate) const fn new(pc: u32, instr: Instr, category: Category) -> Self {
         ExecInfo {
             pc,
             instr,
@@ -177,13 +180,13 @@ pub enum StepOut {
     SoftTrap(u32),
 }
 
-/// Failure of a linear execution path ([`exec_linear`] or a predecoded
-/// dispatch-table entry): either a genuine architectural [`Trap`], or
-/// a routing violation — a block-ending instruction reached a path
-/// that only handles straight-line instructions, which means the
-/// block-structure tables (block cache or dispatch table) are
-/// inconsistent with the instruction stream. The machine layer
-/// surfaces the latter as a typed `SimError` instead of panicking.
+/// Failure of an instruction on either dispatch path ([`step`] or the
+/// traced run loops): either a genuine architectural [`Trap`], or a
+/// routing violation — a predecoded op-table entry that claims to be a
+/// block ender was executed as a linear instruction, which means the
+/// table is inconsistent with the instruction stream. The machine
+/// layer surfaces the latter as a typed `SimError` instead of
+/// panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecError {
     /// An architectural trap raised by the instruction.
@@ -219,19 +222,23 @@ pub(crate) fn operand_value(cpu: &Cpu, op2: Operand) -> u32 {
     }
 }
 
-/// Executes one instruction, advancing `pc`/`npc`.
+/// Executes one instruction, advancing `pc`/`npc`. Control transfers
+/// and `t<cond>` are resolved from `instr`; every other instruction
+/// runs `op`, its entry in the predecoded op table.
 ///
 /// `fpu_enabled` models the presence of the hardware FPU: when false,
 /// every FPU instruction raises [`Trap::FpDisabled`] (software-float
-/// binaries never contain them).
+/// binaries never contain them). `op` must have been predecoded under
+/// the same setting.
 #[inline]
-pub fn step<O: Observer>(
+pub(crate) fn step<O: Observer>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     instr: &Instr,
+    op: &DecodedOp,
     fpu_enabled: bool,
     obs: &mut O,
-) -> Result<StepOut, Trap> {
+) -> Result<StepOut, ExecError> {
     let pc = cpu.pc;
     let npc = cpu.npc;
     // Default sequential flow; control transfers override next_npc
@@ -266,7 +273,7 @@ pub fn step<O: Observer>(
             disp22,
         } => {
             if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc });
+                return Err(Trap::FpDisabled { pc }.into());
             }
             let taken = cond.eval(cpu.fcc);
             let target = pc.wrapping_add((disp22 as u32).wrapping_mul(4));
@@ -293,7 +300,8 @@ pub fn step<O: Observer>(
                     pc,
                     addr: target,
                     size: 4,
-                });
+                }
+                .into());
             }
             cpu.set(rd, pc);
             next_npc = target;
@@ -305,259 +313,15 @@ pub fn step<O: Observer>(
                 out = StepOut::SoftTrap(n);
             }
         }
-        // The arms above cover every block-ending instruction, so the
-        // linear path cannot report `NotLinear` here; map it to an
-        // illegal-instruction trap defensively rather than panicking
-        // (mirrors the `BusFault::ImageOverlap` mapping above).
-        _ => exec_linear(cpu, bus, instr, fpu_enabled, pc, &mut info).map_err(|e| match e {
-            ExecError::Trap(t) => t,
-            ExecError::NotLinear { pc } => Trap::Illegal {
-                pc,
-                word: nfp_sparc::encode(*instr),
-            },
-        })?,
+        _ => {
+            exec_op::<true>(op, cpu, bus, &mut info)?;
+        }
     }
 
     cpu.pc = next_pc;
     cpu.npc = next_npc;
     obs.observe(&info);
     Ok(out)
-}
-
-/// Executes one *linear* instruction — anything that is neither a CTI
-/// nor `t<cond>` (see [`Instr::ends_block`]), so control flow past it
-/// is always sequential — and fills `info` for the observer. `pc` is
-/// the instruction's own address, used only for trap payloads;
-/// `cpu.pc`/`cpu.npc` are neither read nor written here, [`step`]
-/// commits them.
-///
-/// On a trap, no architectural state has been committed beyond what the
-/// faulting instruction legitimately wrote before faulting (nothing:
-/// every arm validates before writing), so the caller can re-present
-/// the same instruction after recovery.
-#[inline]
-pub(crate) fn exec_linear(
-    cpu: &mut Cpu,
-    bus: &mut Bus,
-    instr: &Instr,
-    fpu_enabled: bool,
-    pc: u32,
-    info: &mut ExecInfo,
-) -> Result<(), ExecError> {
-    match *instr {
-        Instr::Sethi { rd, imm22 } => {
-            let v = imm22 << 10;
-            cpu.set(rd, v);
-            info.result_ones = v.count_ones();
-        }
-        Instr::Alu { op, rd, rs1, op2 } => {
-            let a = cpu.get(rs1);
-            let b = operand_value(cpu, op2);
-            let r = exec_alu(cpu, op, a, b, pc)?;
-            cpu.set(rd, r);
-            info.result_ones = r.count_ones();
-        }
-        Instr::RdY { rd } => {
-            let y = cpu.y;
-            cpu.set(rd, y);
-            info.result_ones = y.count_ones();
-        }
-        Instr::WrY { rs1, op2 } => {
-            cpu.y = cpu.get(rs1) ^ operand_value(cpu, op2);
-        }
-        Instr::Save { rd, rs1, op2 } => {
-            // Source operands are read in the OLD window, the result is
-            // written in the NEW window.
-            let a = cpu.get(rs1);
-            let b = operand_value(cpu, op2);
-            if !cpu.window_save() {
-                return Err(Trap::WindowOverflow { pc }.into());
-            }
-            cpu.set(rd, a.wrapping_add(b));
-        }
-        Instr::Restore { rd, rs1, op2 } => {
-            let a = cpu.get(rs1);
-            let b = operand_value(cpu, op2);
-            if !cpu.window_restore() {
-                return Err(Trap::WindowUnderflow { pc }.into());
-            }
-            cpu.set(rd, a.wrapping_add(b));
-        }
-        Instr::Flush { .. } => {
-            // No instruction cache on this core; architectural no-op.
-        }
-        Instr::Load {
-            size,
-            signed,
-            rd,
-            rs1,
-            op2,
-        } => {
-            let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            info.mem_addr = Some(addr);
-            let map = |e| fault_to_trap(pc, e);
-            // Every arm writes its own destination so the doubleword
-            // pair needs no early exit past the shared commit.
-            match size {
-                MemSize::Byte => {
-                    let v = bus.load8(addr).map_err(map)? as u32;
-                    let v = if signed {
-                        v as u8 as i8 as i32 as u32
-                    } else {
-                        v
-                    };
-                    cpu.set(rd, v);
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Half => {
-                    let v = bus.load16(addr).map_err(map)? as u32;
-                    let v = if signed {
-                        v as u16 as i16 as i32 as u32
-                    } else {
-                        v
-                    };
-                    cpu.set(rd, v);
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Word => {
-                    let v = bus.load32(addr).map_err(map)?;
-                    cpu.set(rd, v);
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Double => {
-                    if rd.num() % 2 != 0 {
-                        return Err(Trap::OddIntPair { pc }.into());
-                    }
-                    let v = bus.load64(addr).map_err(map)?;
-                    cpu.set(rd, (v >> 32) as u32);
-                    cpu.set(nfp_sparc::Reg::new(rd.num() + 1), v as u32);
-                    info.result_ones = v.count_ones();
-                }
-            }
-        }
-        Instr::Store { size, rd, rs1, op2 } => {
-            let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            info.mem_addr = Some(addr);
-            let map = |e| fault_to_trap(pc, e);
-            let v = cpu.get(rd);
-            match size {
-                MemSize::Byte => {
-                    bus.store8(addr, v as u8).map_err(map)?;
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Half => {
-                    bus.store16(addr, v as u16).map_err(map)?;
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Word => {
-                    bus.store32(addr, v).map_err(map)?;
-                    info.result_ones = v.count_ones();
-                }
-                MemSize::Double => {
-                    if rd.num() % 2 != 0 {
-                        return Err(Trap::OddIntPair { pc }.into());
-                    }
-                    let lo = cpu.get(nfp_sparc::Reg::new(rd.num() + 1));
-                    let dv = ((v as u64) << 32) | lo as u64;
-                    bus.store64(addr, dv).map_err(map)?;
-                    info.result_ones = dv.count_ones();
-                }
-            }
-        }
-        Instr::LoadF {
-            double,
-            rd,
-            rs1,
-            op2,
-        } => {
-            if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
-            }
-            let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            info.mem_addr = Some(addr);
-            let map = |e| fault_to_trap(pc, e);
-            if double {
-                if !rd.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
-                }
-                let v = bus.load64(addr).map_err(map)?;
-                cpu.fset(rd, (v >> 32) as u32);
-                cpu.fset(nfp_sparc::FReg::new(rd.num() + 1), v as u32);
-                info.result_ones = v.count_ones();
-            } else {
-                let v = bus.load32(addr).map_err(map)?;
-                cpu.fset(rd, v);
-                info.result_ones = v.count_ones();
-            }
-        }
-        Instr::StoreF {
-            double,
-            rd,
-            rs1,
-            op2,
-        } => {
-            if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
-            }
-            let addr = cpu.get(rs1).wrapping_add(operand_value(cpu, op2));
-            info.mem_addr = Some(addr);
-            let map = |e| fault_to_trap(pc, e);
-            if double {
-                if !rd.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
-                }
-                let hi = cpu.fget(rd) as u64;
-                let lo = cpu.fget(nfp_sparc::FReg::new(rd.num() + 1)) as u64;
-                let v = (hi << 32) | lo;
-                bus.store64(addr, v).map_err(map)?;
-                info.result_ones = v.count_ones();
-            } else {
-                let v = cpu.fget(rd);
-                bus.store32(addr, v).map_err(map)?;
-                info.result_ones = v.count_ones();
-            }
-        }
-        Instr::FpOp { op, rd, rs1, rs2 } => {
-            if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
-            }
-            exec_fpop(cpu, op, rd, rs1, rs2, pc, info)?;
-        }
-        Instr::FCmp {
-            double, rs1, rs2, ..
-        } => {
-            if !fpu_enabled {
-                return Err(Trap::FpDisabled { pc }.into());
-            }
-            let rel = if double {
-                if !rs1.is_even() || !rs2.is_even() {
-                    return Err(Trap::OddFpPair { pc }.into());
-                }
-                compare(cpu.fget_d(rs1), cpu.fget_d(rs2))
-            } else {
-                compare(cpu.fget_s(rs1) as f64, cpu.fget_s(rs2) as f64)
-            };
-            cpu.fcc = rel;
-        }
-        Instr::Unimp { const22 } => {
-            return Err(Trap::Illegal { pc, word: const22 }.into());
-        }
-        Instr::Illegal { word } => {
-            return Err(Trap::Illegal { pc, word }.into());
-        }
-        // CTIs and `t<cond>` belong to `step`; reaching here with one
-        // means the block-structure tables disagree with the
-        // instruction stream. Surface it as a typed error — the
-        // machine layer reports it as `SimError::DispatchViolation`.
-        Instr::Branch { .. }
-        | Instr::FBranch { .. }
-        | Instr::Call { .. }
-        | Instr::Jmpl { .. }
-        | Instr::Ticc { .. } => {
-            return Err(ExecError::NotLinear { pc });
-        }
-    }
-    Ok(())
 }
 
 /// Branch/annul resolution per SPARC V8 §B.21: a taken conditional
@@ -691,116 +455,12 @@ pub(crate) fn compare(a: f64, b: f64) -> FccValue {
     }
 }
 
-/// Converts a double to i32 with round-toward-zero and saturation
-/// (Rust `as` semantics, which match what the differential tests and
-/// the soft-float library implement).
-#[inline]
-fn f64_to_i32(v: f64) -> i32 {
-    v as i32
-}
-
-#[inline]
-pub(crate) fn exec_fpop(
-    cpu: &mut Cpu,
-    op: FpOp,
-    rd: nfp_sparc::FReg,
-    rs1: nfp_sparc::FReg,
-    rs2: nfp_sparc::FReg,
-    pc: u32,
-    info: &mut ExecInfo,
-) -> Result<(), Trap> {
-    use FpOp::*;
-    let need_even = |r: nfp_sparc::FReg| -> Result<(), Trap> {
-        if r.is_even() {
-            Ok(())
-        } else {
-            Err(Trap::OddFpPair { pc })
-        }
-    };
-    match op {
-        FMovS => cpu.fset(rd, cpu.fget(rs2)),
-        FNegS => cpu.fset(rd, cpu.fget(rs2) ^ 0x8000_0000),
-        FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
-        FSqrtS => {
-            let v = cpu.fget_s(rs2);
-            info.fpu_rs2_bits = Some(v.to_bits() as u64);
-            cpu.fset_s(rd, v.sqrt());
-        }
-        FSqrtD => {
-            need_even(rs2)?;
-            need_even(rd)?;
-            let v = cpu.fget_d(rs2);
-            info.fpu_rs2_bits = Some(v.to_bits());
-            cpu.fset_d(rd, v.sqrt());
-        }
-        FAddS => cpu.fset_s(rd, cpu.fget_s(rs1) + cpu.fget_s(rs2)),
-        FSubS => cpu.fset_s(rd, cpu.fget_s(rs1) - cpu.fget_s(rs2)),
-        FMulS => cpu.fset_s(rd, cpu.fget_s(rs1) * cpu.fget_s(rs2)),
-        FDivS => {
-            let b = cpu.fget_s(rs2);
-            info.fpu_rs2_bits = Some(b.to_bits() as u64);
-            cpu.fset_s(rd, cpu.fget_s(rs1) / b);
-        }
-        FAddD => {
-            need_even(rs1)?;
-            need_even(rs2)?;
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget_d(rs1) + cpu.fget_d(rs2));
-        }
-        FSubD => {
-            need_even(rs1)?;
-            need_even(rs2)?;
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget_d(rs1) - cpu.fget_d(rs2));
-        }
-        FMulD => {
-            need_even(rs1)?;
-            need_even(rs2)?;
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget_d(rs1) * cpu.fget_d(rs2));
-        }
-        FDivD => {
-            need_even(rs1)?;
-            need_even(rs2)?;
-            need_even(rd)?;
-            let b = cpu.fget_d(rs2);
-            info.fpu_rs2_bits = Some(b.to_bits());
-            cpu.fset_d(rd, cpu.fget_d(rs1) / b);
-        }
-        FsMulD => {
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget_s(rs1) as f64 * cpu.fget_s(rs2) as f64);
-        }
-        FiToS => cpu.fset_s(rd, cpu.fget(rs2) as i32 as f32),
-        FiToD => {
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget(rs2) as i32 as f64);
-        }
-        FsToI => {
-            let v = cpu.fget_s(rs2);
-            cpu.fset(rd, (v as i32) as u32);
-        }
-        FdToI => {
-            need_even(rs2)?;
-            cpu.fset(rd, f64_to_i32(cpu.fget_d(rs2)) as u32);
-        }
-        FsToD => {
-            need_even(rd)?;
-            cpu.fset_d(rd, cpu.fget_s(rs2) as f64);
-        }
-        FdToS => {
-            need_even(rs2)?;
-            cpu.fset_s(rd, cpu.fget_d(rs2) as f32);
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::RAM_BASE;
-    use nfp_sparc::Reg;
+    use crate::threaded::predecode_op;
+    use nfp_sparc::{FReg, FpOp, MemSize, Reg};
 
     fn setup() -> (Cpu, Bus) {
         let mut cpu = Cpu::new();
@@ -809,8 +469,159 @@ mod tests {
         (cpu, Bus::with_ram(RAM_BASE, 1 << 16))
     }
 
+    /// Steps `i` at the current pc through its freshly predecoded op.
+    fn step_with<O: Observer>(
+        cpu: &mut Cpu,
+        bus: &mut Bus,
+        i: Instr,
+        fpu: bool,
+        obs: &mut O,
+    ) -> Result<StepOut, Trap> {
+        let op = predecode_op(i, cpu.pc, fpu);
+        step(cpu, bus, &i, &op, fpu, obs).map_err(|e| match e {
+            ExecError::Trap(t) => t,
+            ExecError::NotLinear { pc } => panic!("routing violation at 0x{pc:08x}"),
+        })
+    }
+
     fn run1(cpu: &mut Cpu, bus: &mut Bus, i: Instr) -> Result<StepOut, Trap> {
-        step(cpu, bus, &i, true, &mut NullObserver)
+        step_with(cpu, bus, i, true, &mut NullObserver)
+    }
+
+    /// Keeps the last record it was handed.
+    struct Last(Option<ExecInfo>);
+
+    impl Observer for Last {
+        fn observe(&mut self, info: &ExecInfo) {
+            self.0 = Some(*info);
+        }
+    }
+
+    /// Steps `i` and returns the record the observer received.
+    fn observe1(cpu: &mut Cpu, bus: &mut Bus, i: Instr) -> ExecInfo {
+        let mut last = Last(None);
+        step_with(cpu, bus, i, true, &mut last).unwrap();
+        last.0.expect("a retired instruction is observed")
+    }
+
+    #[test]
+    fn observer_record_matches_hand_computed_fields() {
+        let (mut cpu, mut bus) = setup();
+
+        // ldsb of 0x81 sign-extends to 0xffff_ff81: 26 ones, not 2.
+        bus.store8(RAM_BASE + 0x100, 0x81).unwrap();
+        cpu.set(Reg::o(0), RAM_BASE + 0x100);
+        let ldsb = Instr::Load {
+            size: MemSize::Byte,
+            signed: true,
+            rd: Reg::o(1),
+            rs1: Reg::o(0),
+            op2: Operand::Imm(0),
+        };
+        let info = observe1(&mut cpu, &mut bus, ldsb);
+        assert_eq!(info.pc, RAM_BASE);
+        assert_eq!(info.instr, ldsb);
+        assert_eq!(info.category, Category::MemLoad);
+        assert_eq!(info.mem_addr, Some(RAM_BASE + 0x100));
+        assert_eq!(info.result_ones, 26);
+        assert_eq!(info.branch_taken, None);
+        assert_eq!(info.fpu_rs2_bits, None);
+
+        // std of the pair 0xdead_beef:0x0123_4567: 24 + 12 ones.
+        cpu.set(Reg::o(2), 0xdead_beef);
+        cpu.set(Reg::o(3), 0x0123_4567);
+        let info = observe1(
+            &mut cpu,
+            &mut bus,
+            Instr::Store {
+                size: MemSize::Double,
+                rd: Reg::o(2),
+                rs1: Reg::o(0),
+                op2: Operand::Imm(0x100),
+            },
+        );
+        assert_eq!(info.pc, RAM_BASE + 4);
+        assert_eq!(info.category, Category::MemStore);
+        assert_eq!(info.mem_addr, Some(RAM_BASE + 0x200));
+        assert_eq!(info.result_ones, 36);
+
+        // cmp 3, 5 (`subcc %o4, 5, %g0`): the discarded 0xffff_fffe
+        // still counts 31 ones.
+        cpu.set(Reg::o(4), 3);
+        let info = observe1(
+            &mut cpu,
+            &mut bus,
+            Instr::Alu {
+                op: AluOp::SubCc,
+                rd: Reg::g(0),
+                rs1: Reg::o(4),
+                op2: Operand::Imm(5),
+            },
+        );
+        assert_eq!(info.category, Category::IntArith);
+        assert_eq!(info.mem_addr, None);
+        assert_eq!(info.result_ones, 31);
+        assert_eq!(cpu.get(Reg::g(0)), 0);
+
+        // sethi 0x3f, %g0: the discarded 0x3f << 10 has 6 ones.
+        let info = observe1(
+            &mut cpu,
+            &mut bus,
+            Instr::Sethi {
+                rd: Reg::g(0),
+                imm22: 0x3f,
+            },
+        );
+        assert_eq!(info.category, Category::IntArith);
+        assert_eq!(info.result_ones, 6);
+
+        // fdivd 1.0 / 4.0: the divisor's bits.
+        cpu.fset_d(FReg::new(0), 1.0);
+        cpu.fset_d(FReg::new(2), 4.0);
+        let info = observe1(
+            &mut cpu,
+            &mut bus,
+            Instr::FpOp {
+                op: FpOp::FDivD,
+                rd: FReg::new(4),
+                rs1: FReg::new(0),
+                rs2: FReg::new(2),
+            },
+        );
+        assert_eq!(info.category, Category::FpuDiv);
+        assert_eq!(info.fpu_rs2_bits, Some(0x4010_0000_0000_0000));
+        assert_eq!(info.result_ones, 0);
+
+        // fsqrts 2.25: the operand's single-precision bits.
+        cpu.fset_s(FReg::new(7), 2.25);
+        let info = observe1(
+            &mut cpu,
+            &mut bus,
+            Instr::FpOp {
+                op: FpOp::FSqrtS,
+                rd: FReg::new(6),
+                rs1: FReg::new(0),
+                rs2: FReg::new(7),
+            },
+        );
+        assert_eq!(info.category, Category::FpuSqrt);
+        assert_eq!(info.fpu_rs2_bits, Some(0x4010_0000));
+
+        // be, taken and then untaken.
+        let be = Instr::Branch {
+            cond: ICond::E,
+            annul: false,
+            disp22: 4,
+        };
+        cpu.icc.z = true;
+        let info = observe1(&mut cpu, &mut bus, be);
+        assert_eq!(info.category, Category::Jump);
+        assert_eq!(info.branch_taken, Some(true));
+        assert_eq!(info.mem_addr, None);
+        assert_eq!(info.result_ones, 0);
+        cpu.icc.z = false;
+        let info = observe1(&mut cpu, &mut bus, be);
+        assert_eq!(info.branch_taken, Some(false));
     }
 
     #[test]
@@ -1163,10 +974,10 @@ mod tests {
     #[test]
     fn fpu_disabled_traps() {
         let (mut cpu, mut bus) = setup();
-        let r = step(
+        let r = step_with(
             &mut cpu,
             &mut bus,
-            &Instr::FpOp {
+            Instr::FpOp {
                 op: FpOp::FAddD,
                 rd: nfp_sparc::FReg::new(0),
                 rs1: nfp_sparc::FReg::new(0),

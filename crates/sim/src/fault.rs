@@ -13,10 +13,10 @@
 //! checkpoint mechanism alone, while instruction-stream flips also
 //! patch the predecoded image and return an [`Undo`] that must be
 //! applied before the machine is reused. Code flips and undos route
-//! through [`Machine::patch_code_word`], which also invalidates the
-//! traced path's block, dispatch-table and trace caches, so campaigns
-//! run safely on the fast path: the next run re-segments the (possibly
-//! corrupted) image.
+//! through [`Machine::patch_code_word`], which also re-predecodes the
+//! entry's op and invalidates the traced path's block and trace
+//! caches, so campaigns run safely on the fast path: the next run
+//! re-segments the (possibly corrupted) image.
 
 use crate::machine::{Machine, SimError};
 use nfp_sparc::cond::FccValue;

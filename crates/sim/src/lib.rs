@@ -11,13 +11,15 @@
 //! Structure, mirroring Fig. 2 of the paper:
 //!
 //! * decode — done once per code word by [`machine::Machine`], which
-//!   predecodes the loaded image into a flat `Vec<Instr>` (the morpher
-//!   analogue: the expensive pattern matching happens once, execution
-//!   dispatches on the predecoded form);
+//!   predecodes the loaded image into a flat `Vec<Instr>` and a parallel
+//!   table of executable ops (the morpher analogue: the expensive
+//!   pattern matching happens once, execution dispatches on the
+//!   predecoded form);
 //! * disassembler — available through `nfp_sparc::disasm` and the
 //!   optional trace hook;
-//! * execution — [`exec`] implements the architectural semantics of
-//!   every instruction group.
+//! * execution — [`exec`] steps one instruction: it resolves control
+//!   transfers itself and runs every other instruction through its
+//!   predecoded op, whose semantics both dispatch paths share.
 //!
 //! The simulator is deterministic and has no notion of time or energy;
 //! those are supplied either by the mechanistic model (`nfp-core`,

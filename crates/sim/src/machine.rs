@@ -1,8 +1,9 @@
 //! The simulated machine: image loading, predecode, and the run loop.
 //!
-//! Loading an image predecodes every word once (the analogue of OVP's
-//! morphing: the expensive decode happens once and execution dispatches
-//! on the predecoded form). Per-category counters are incremented
+//! Loading an image predecodes every word once, into the `Instr` form
+//! and into the op table both dispatch paths execute (the analogue of
+//! OVP's morphing: the expensive decode happens once and execution
+//! dispatches on the predecoded form). Per-category counters are incremented
 //! inline in the run loop, not through callbacks, mirroring the
 //! implementation note in Section III of the paper.
 
@@ -10,7 +11,10 @@ use crate::blocks::BlockCache;
 use crate::bus::{Bus, BusFault, RamSnapshot, RAM_BASE};
 use crate::cpu::Cpu;
 use crate::exec::{step, ExecError, NullObserver, Observer, StepOut, Trap};
-use crate::threaded::{build_trace, run_ops, ThreadedCache, TraceCache, TraceHalt, TraceSlot};
+use crate::threaded::{
+    build_trace, predecode_op, predecode_table, run_ops, DecodedOp, TraceCache, TraceHalt,
+    TraceSlot,
+};
 use nfp_sparc::{decode, Category, CategoryCounts, Instr};
 use std::time::{Duration, Instant};
 
@@ -292,14 +296,14 @@ pub struct Machine {
     config: MachineConfig,
     code_base: u32,
     code: Vec<(Instr, Category)>,
+    /// The op table over `code`, same indexing: the executable
+    /// semantics of every linear instruction, on both dispatch paths.
+    /// Built with `code` and patched entry by entry with it.
+    ops: Vec<DecodedOp>,
     /// Block summaries over `code`; `None` when stale (image loaded or
     /// patched since the last build) — rebuilt lazily by the next
     /// traced run.
     blocks: Option<BlockCache>,
-    /// Predecoded dispatch table over `code`; invalidated exactly like
-    /// `blocks` (pure function of the predecoded image), rebuilt
-    /// lazily by the next traced run.
-    threaded: Option<ThreadedCache>,
     /// Superblock traces keyed by block-leader index; invalidated
     /// exactly like `blocks`, rebuilt lazily per trace head.
     traces: Option<TraceCache>,
@@ -332,8 +336,8 @@ impl Machine {
             config,
             code_base: RAM_BASE,
             code: Vec::new(),
+            ops: Vec::new(),
             blocks: None,
-            threaded: None,
             traces: None,
             counts: CategoryCounts::new(),
             instret: 0,
@@ -399,8 +403,8 @@ impl Machine {
                 (i, c)
             })
             .collect();
+        self.ops = predecode_table(&self.code, base, self.config.fpu_enabled);
         self.blocks = None;
-        self.threaded = None;
         self.traces = None;
         self.cpu.pc = base;
         self.cpu.npc = base.wrapping_add(4);
@@ -439,7 +443,11 @@ impl Machine {
     /// Category of the instruction the machine would execute next, or
     /// `None` if fetching it would trap.
     pub fn next_category(&mut self) -> Option<Category> {
-        self.fetch(self.cpu.pc).ok().map(|(_, c)| c)
+        let pc = self.cpu.pc;
+        match self.code_index(pc) {
+            Some(i) => Some(self.code[i].1),
+            None => self.fetch_slow(pc).ok().map(|(_, c, _)| c),
+        }
     }
 
     /// Replaces the instruction word at `index` in the loaded image:
@@ -459,17 +467,22 @@ impl Machine {
         let old = self.bus.load32(addr)?;
         self.bus.store32(addr, word)?;
         let i = decode(word);
-        self.code[index] = (i, i.category());
-        // The patched word may create or remove a block boundary, so
-        // every cached block summary, dispatch-table entry, and trace
-        // crossing it is stale; drop all three derived caches and let
-        // the next traced run rebuild them. This is the invalidation
-        // that keeps fault-injection code flips bit-identical across
-        // dispatch modes.
-        self.blocks = None;
-        self.threaded = None;
-        self.traces = None;
+        self.set_entry(index, (i, i.category()));
         Ok(old)
+    }
+
+    /// Writes predecoded entry `index` and its op, then drops the
+    /// derived caches. The new entry may create or remove a block
+    /// boundary, so every cached block summary and trace crossing it
+    /// is stale; the next traced run rebuilds them. This is the
+    /// invalidation that keeps fault-injection code flips bit-identical
+    /// across dispatch modes.
+    fn set_entry(&mut self, index: usize, entry: (Instr, Category)) {
+        let pc = self.code_base.wrapping_add((index as u32) * 4);
+        self.code[index] = entry;
+        self.ops[index] = predecode_op(entry.0, pc, self.config.fpu_enabled);
+        self.blocks = None;
+        self.traces = None;
     }
 
     /// The predecoded `(instruction, category)` entry at `index` — the
@@ -488,8 +501,8 @@ impl Machine {
     /// overwritten, decode(runtime word) need not equal the boot-image
     /// entry that was there before the patch, and re-deriving it would
     /// drift the predecode — a rig replaying the same code fault twice
-    /// would then attribute two different categories. Drops the same
-    /// derived caches as a patch.
+    /// would then attribute two different categories. Re-predecodes the
+    /// op and drops the same derived caches as a patch.
     pub fn set_code_entry(
         &mut self,
         index: usize,
@@ -501,10 +514,7 @@ impl Machine {
                 len: self.code.len(),
             });
         }
-        self.code[index] = entry;
-        self.blocks = None;
-        self.threaded = None;
-        self.traces = None;
+        self.set_entry(index, entry);
         Ok(())
     }
 
@@ -547,20 +557,17 @@ impl Machine {
         &self.counts
     }
 
-    /// Fetches the predecoded instruction at `pc`, falling back to
-    /// decoding from memory for execution outside the loaded image.
+    /// Index of `pc` in the loaded image, or `None` outside it.
     #[inline]
-    fn fetch(&mut self, pc: u32) -> Result<(Instr, Category), Trap> {
+    fn code_index(&self, pc: u32) -> Option<usize> {
         let idx = pc.wrapping_sub(self.code_base) as usize / 4;
-        if pc.is_multiple_of(4) && pc >= self.code_base && idx < self.code.len() {
-            Ok(self.code[idx])
-        } else {
-            self.fetch_slow(pc)
-        }
+        (pc.is_multiple_of(4) && pc >= self.code_base && idx < self.code.len()).then_some(idx)
     }
 
+    /// Decodes and predecodes the instruction at a `pc` outside the
+    /// loaded image from memory.
     #[cold]
-    fn fetch_slow(&mut self, pc: u32) -> Result<(Instr, Category), Trap> {
+    fn fetch_slow(&mut self, pc: u32) -> Result<(Instr, Category, DecodedOp), Trap> {
         if !pc.is_multiple_of(4) {
             return Err(Trap::Misaligned {
                 pc,
@@ -573,7 +580,11 @@ impl Machine {
             .load32(pc)
             .map_err(|_| Trap::Unmapped { pc, addr: pc })?;
         let i = decode(word);
-        Ok((i, i.category()))
+        Ok((
+            i,
+            i.category(),
+            predecode_op(i, pc, self.config.fpu_enabled),
+        ))
     }
 
     /// Runs until the program halts, an error occurs, or `max_instrs`
@@ -660,9 +671,6 @@ impl Machine {
             if self.blocks.is_none() {
                 self.blocks = Some(BlockCache::build(&self.code));
             }
-            if self.threaded.is_none() {
-                self.threaded = Some(ThreadedCache::build(&self.code, self.code_base, fpu));
-            }
             if self.traces.is_none() {
                 self.traces = Some(TraceCache::new(&self.code, self.code_base));
             }
@@ -712,7 +720,7 @@ impl Machine {
                                 &self.code,
                                 self.code_base,
                                 self.blocks.as_ref().expect("built above"),
-                                self.threaded.as_ref().expect("built above").ops(),
+                                &self.ops,
                                 fpu,
                                 idx,
                             );
@@ -757,8 +765,8 @@ impl Machine {
                     let take = ((run_end - idx) as u64).min(limit - self.instret) as usize;
                     let end = idx + take;
                     if end > idx {
-                        let ops = self.threaded.as_ref().expect("built above").ops();
-                        let (done, pending) = run_ops(&ops[idx..end], &mut self.cpu, &mut self.bus);
+                        let (done, pending) =
+                            run_ops(&self.ops[idx..end], &mut self.cpu, &mut self.bus);
                         let j = idx + done;
                         // Commit the completed prefix [idx, j) in one
                         // batch: the table's ops leave pc/npc
@@ -792,14 +800,23 @@ impl Machine {
             }
             // Fetch traps (misaligned or unmapped pc) are always fatal:
             // there is no sensible instruction to resume past.
-            let (instr, cat) = self.fetch(self.cpu.pc)?;
-            let outcome = match step(&mut self.cpu, &mut self.bus, &instr, fpu, obs) {
+            // The in-image entry is borrowed, not copied: moving the
+            // instruction and its op through a returned tuple cost the
+            // step path store-forwarding stalls.
+            let pc = self.cpu.pc;
+            let off_image;
+            let (instr, cat, op) = match self.code_index(pc) {
+                Some(i) => (&self.code[i].0, self.code[i].1, &self.ops[i]),
+                None => {
+                    off_image = self.fetch_slow(pc)?;
+                    (&off_image.0, off_image.1, &off_image.2)
+                }
+            };
+            let outcome = match step(&mut self.cpu, &mut self.bus, instr, op, fpu, obs) {
                 Ok(o) => o,
-                Err(trap) => {
-                    if recover && self.try_recover(&trap) {
-                        continue;
-                    }
-                    return Err(trap.into());
+                Err(e) => {
+                    self.settle(e, recover)?;
+                    continue;
                 }
             };
             self.instret += 1;
@@ -830,12 +847,12 @@ impl Machine {
         }
     }
 
-    /// Settles a linear-dispatch execution error: architectural traps
-    /// go through the recovery model (exactly like the step path),
-    /// while routing violations — a block-ending instruction executed
-    /// through a linear path, i.e. a corrupted dispatch table — are
-    /// surfaced as [`SimError::DispatchViolation`]. `Ok(())` means the
-    /// trap was absorbed and the run loop should continue.
+    /// Settles an execution error from either dispatch path:
+    /// architectural traps go through the recovery model, while routing
+    /// violations — a block-ending instruction executed through a
+    /// linear path, i.e. a corrupted op table — are surfaced as
+    /// [`SimError::DispatchViolation`]. `Ok(())` means the trap was
+    /// absorbed and the run loop should continue.
     fn settle(&mut self, e: ExecError, recover: bool) -> Result<(), SimError> {
         match e {
             ExecError::Trap(t) => {
@@ -849,28 +866,22 @@ impl Machine {
         }
     }
 
-    /// Test hook: corrupts the predecoded dispatch-table entry at code
-    /// index `index` so it reports a routing violation when executed,
-    /// simulating a fault-flipped or inconsistent dispatch table.
-    /// Returns `false` (and does nothing) if the index is out of range
-    /// or names a block-ending instruction (whose entry is *expected*
-    /// to be non-linear). The trace cache is dropped so traces rebuild
-    /// from the corrupted table — a corrupted entry mid-superblock
-    /// must surface identically. The corruption lasts until the next
-    /// image load or code patch rebuilds the caches.
+    /// Test hook: corrupts the predecoded op-table entry at code index
+    /// `index` so it reports a routing violation when executed,
+    /// simulating a fault-flipped or inconsistent table. Returns
+    /// `false` (and does nothing) if the index is out of range or names
+    /// a block-ending instruction (whose entry is *expected* to be
+    /// non-linear). The trace cache is dropped so traces rebuild from
+    /// the corrupted table — a corrupted entry mid-superblock must
+    /// surface identically, and so must the step path, which executes
+    /// the same entry. The corruption lasts until the next image load
+    /// or a patch of that entry re-predecodes it.
     #[doc(hidden)]
     pub fn test_corrupt_dispatch(&mut self, index: usize) -> bool {
         if index >= self.code.len() || self.code[index].0.ends_block() {
             return false;
         }
-        if self.threaded.is_none() {
-            self.threaded = Some(ThreadedCache::build(
-                &self.code,
-                self.code_base,
-                self.config.fpu_enabled,
-            ));
-        }
-        self.threaded.as_mut().expect("built above").corrupt(index);
+        self.ops[index] = DecodedOp::not_linear(self.ops[index].pc);
         self.traces = None;
         true
     }
@@ -1475,20 +1486,24 @@ mod tests {
         // can execute its entry.
         let m = Machine::boot(&words);
         let blocks = BlockCache::build(&m.code);
-        let table = ThreadedCache::build(&m.code, m.code_base, true);
-        let slot = build_trace(&m.code, m.code_base, &blocks, table.ops(), true, 9);
+        let slot = build_trace(&m.code, m.code_base, &blocks, &m.ops, true, 9);
         assert!(matches!(slot, TraceSlot::Absent), "got {slot:?}");
         // Word 5 is the console `st` in the loop body, which runs
         // inside a superblock. Each corrupted linear entry claims to be
-        // a block ender.
-        for index in [5, 9] {
-            let mut m = Machine::boot(&words);
-            assert!(m.test_corrupt_dispatch(index));
-            match m.run(10_000) {
-                Err(SimError::DispatchViolation { pc }) => {
-                    assert_eq!(pc, RAM_BASE + index as u32 * 4, "word {index}");
+        // a block ender, and the step path executes the same entry.
+        for dispatch in Dispatch::ALL {
+            for index in [5, 9] {
+                let mut m = Machine::boot(&words);
+                m.set_dispatch(dispatch);
+                assert!(m.test_corrupt_dispatch(index));
+                match m.run(10_000) {
+                    Err(SimError::DispatchViolation { pc }) => {
+                        assert_eq!(pc, RAM_BASE + index as u32 * 4, "{dispatch} word {index}");
+                    }
+                    other => {
+                        panic!("{dispatch} word {index}: expected DispatchViolation, got {other:?}")
+                    }
                 }
-                other => panic!("word {index}: expected DispatchViolation, got {other:?}"),
             }
         }
     }

@@ -1,13 +1,15 @@
-//! The predecoded dispatch table and superblock traces behind
+//! The predecoded op table — the one executable semantics of every
+//! linear instruction — and the superblock traces behind
 //! [`Dispatch::Traced`](crate::Dispatch::Traced).
 //!
-//! `exec_linear` re-matches the instruction enum on every retirement.
-//! This module predecodes each image instruction once into a 16-byte
+//! Loading an image predecodes each instruction once into a 16-byte
 //! [`DecodedOp`]: an [`OpKind`] tag plus operands, with every shape
 //! decision (immediate vs register, load width, signedness, ALU
 //! opcode, FPU presence, register-pair evenness) made at predecode.
 //! [`exec_op`] executes an op with one match on the tag and no
-//! decode.
+//! decode. Both dispatch paths run it: `step` with `OBSERVE = true`,
+//! filling the observer's [`ExecInfo`], and the traced hot loops with
+//! `OBSERVE = false`, where the record bookkeeping compiles away.
 //!
 //! On top of the flat table, [`TraceCache`] forms **superblocks**:
 //! instruction traces that chain basic blocks across
@@ -24,15 +26,16 @@
 //! block cache preserves it: every structure here is a pure function
 //! of the predecoded image, so
 //! [`Machine::patch_code_word`](crate::Machine::patch_code_word) (and
-//! with it every fault-injection code flip and undo) drops it, and the
-//! next run rebuilds from the patched stream.
+//! with it every fault-injection code flip and undo) re-predecodes the
+//! patched table entry in place and drops the traces, which the next
+//! run rebuilds from the patched stream.
 
 use std::collections::HashSet;
 
 use crate::blocks::{leaders, BlockCache};
 use crate::bus::Bus;
 use crate::cpu::Cpu;
-use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, Trap};
+use crate::exec::{compare, exec_alu, fault_to_trap, ExecError, ExecInfo, Trap};
 use nfp_sparc::cond::FccValue;
 use nfp_sparc::{
     AluOp, Category, CategoryCounts, FCond, FReg, FpOp, ICond, Instr, MemSize, Operand, Reg,
@@ -61,7 +64,8 @@ pub(crate) enum Flow {
 #[repr(u8)]
 pub(crate) enum OpKind {
     /// Retires with no architectural effect (`nop`, `flush`, and
-    /// in-trace retired `ba`).
+    /// in-trace retired `ba`); `imm` holds a discarded `sethi` value,
+    /// which only the observer record reads.
     Nop,
     /// `sethi` with a live destination; `imm` is precomputed.
     Sethi,
@@ -167,6 +171,16 @@ impl DecodedOp {
             aux: 0,
         }
     }
+
+    /// The entry of a block-ending instruction, which has no linear
+    /// semantics: executing it reports the routing violation (see
+    /// [`stub_err`]).
+    pub(crate) fn not_linear(pc: u32) -> Self {
+        DecodedOp {
+            aux: 4,
+            ..DecodedOp::at(pc, OpKind::Stub)
+        }
+    }
 }
 
 /// Register numbers in `DecodedOp` come from `Reg::num()` so they are
@@ -192,7 +206,9 @@ fn op2_val<const IMM: bool>(cpu: &Cpu, op: &DecodedOp) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Linear op semantics (the same effects as `exec_linear`'s arms)
+// Linear op semantics. With `OBSERVE`, each executor also fills the
+// observer record: `result_ones` (the popcount of the value produced,
+// even when `rd` is `%g0`), `mem_addr`, and `fpu_rs2_bits`.
 // ---------------------------------------------------------------------------
 
 /// `AluOp` variants in declaration order, so the `AluOp::X as u8`
@@ -232,10 +248,18 @@ const ALU_OPS: [AluOp; 31] = [
 ];
 
 #[inline(always)]
-fn exec_alu_op(cpu: &mut Cpu, op: &DecodedOp, b: u32) -> Result<Flow, ExecError> {
+fn exec_alu_op<const OBSERVE: bool>(
+    cpu: &mut Cpu,
+    op: &DecodedOp,
+    b: u32,
+    info: &mut ExecInfo,
+) -> Result<Flow, ExecError> {
     let a = cpu.get(reg(op.rs1));
     let r = exec_alu(cpu, ALU_OPS[op.aux as usize], a, b, op.pc)?;
     cpu.set(reg(op.rd), r);
+    if OBSERVE {
+        info.result_ones = r.count_ones();
+    }
     Ok(Flow::Next)
 }
 
@@ -266,17 +290,28 @@ fn exec_restore<const IMM: bool>(cpu: &mut Cpu, op: &DecodedOp) -> Result<Flow, 
     Ok(Flow::Next)
 }
 
+/// Records a memory access: its address and the popcount of the value
+/// moved (for a store, the whole source register or pair).
+#[inline(always)]
+fn observe_mem<const OBSERVE: bool>(info: &mut ExecInfo, addr: u32, v: u64) {
+    if OBSERVE {
+        info.mem_addr = Some(addr);
+        info.result_ones = v.count_ones();
+    }
+}
+
 /// `SIZE`: 0 = byte, 1 = half, 2 = word, 3 = doubleword (odd-`rd`
 /// doublewords are predecoded to a [`OpKind::Stub`]).
 #[inline(always)]
-fn exec_load<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
+fn exec_load<const SIZE: u8, const SIGNED: bool, const IMM: bool, const OBSERVE: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
+    info: &mut ExecInfo,
 ) -> Result<Flow, ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    match SIZE {
+    let v = match SIZE {
         0 => {
             let v = bus.load8(addr).map_err(map)? as u32;
             let v = if SIGNED {
@@ -285,6 +320,7 @@ fn exec_load<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
                 v
             };
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         1 => {
             let v = bus.load16(addr).map_err(map)? as u32;
@@ -294,75 +330,100 @@ fn exec_load<const SIZE: u8, const SIGNED: bool, const IMM: bool>(
                 v
             };
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         2 => {
             let v = bus.load32(addr).map_err(map)?;
             cpu.set(reg(op.rd), v);
+            v as u64
         }
         _ => {
             let v = bus.load64(addr).map_err(map)?;
             cpu.set(reg(op.rd), (v >> 32) as u32);
             cpu.set(reg(op.rd + 1), v as u32);
+            v
         }
-    }
+    };
+    observe_mem::<OBSERVE>(info, addr, v);
     Ok(Flow::Next)
 }
 
 #[inline(always)]
-fn exec_store<const SIZE: u8, const IMM: bool>(
+fn exec_store<const SIZE: u8, const IMM: bool, const OBSERVE: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
+    info: &mut ExecInfo,
 ) -> Result<Flow, ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
     let v = cpu.get(reg(op.rd));
-    match SIZE {
-        0 => bus.store8(addr, v as u8).map_err(map)?,
-        1 => bus.store16(addr, v as u16).map_err(map)?,
-        2 => bus.store32(addr, v).map_err(map)?,
+    let v = match SIZE {
+        0 => {
+            bus.store8(addr, v as u8).map_err(map)?;
+            v as u64
+        }
+        1 => {
+            bus.store16(addr, v as u16).map_err(map)?;
+            v as u64
+        }
+        2 => {
+            bus.store32(addr, v).map_err(map)?;
+            v as u64
+        }
         _ => {
             let lo = cpu.get(reg(op.rd + 1));
             let dv = ((v as u64) << 32) | lo as u64;
             bus.store64(addr, dv).map_err(map)?;
+            dv
         }
-    }
+    };
+    observe_mem::<OBSERVE>(info, addr, v);
     Ok(Flow::Next)
 }
 
-fn exec_loadf<const DOUBLE: bool, const IMM: bool>(
+fn exec_loadf<const DOUBLE: bool, const IMM: bool, const OBSERVE: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
+    info: &mut ExecInfo,
 ) -> Result<Flow, ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    if DOUBLE {
+    let v = if DOUBLE {
         let v = bus.load64(addr).map_err(map)?;
         cpu.fset(freg(op.rd), (v >> 32) as u32);
         cpu.fset(freg(op.rd + 1), v as u32);
+        v
     } else {
         let v = bus.load32(addr).map_err(map)?;
         cpu.fset(freg(op.rd), v);
-    }
+        v as u64
+    };
+    observe_mem::<OBSERVE>(info, addr, v);
     Ok(Flow::Next)
 }
 
-fn exec_storef<const DOUBLE: bool, const IMM: bool>(
+fn exec_storef<const DOUBLE: bool, const IMM: bool, const OBSERVE: bool>(
     cpu: &mut Cpu,
     bus: &mut Bus,
     op: &DecodedOp,
+    info: &mut ExecInfo,
 ) -> Result<Flow, ExecError> {
     let addr = cpu.get(reg(op.rs1)).wrapping_add(op2_val::<IMM>(cpu, op));
     let map = |e| ExecError::Trap(fault_to_trap(op.pc, e));
-    if DOUBLE {
+    let v = if DOUBLE {
         let hi = cpu.fget(freg(op.rd)) as u64;
         let lo = cpu.fget(freg(op.rd + 1)) as u64;
-        bus.store64(addr, (hi << 32) | lo).map_err(map)?;
+        let v = (hi << 32) | lo;
+        bus.store64(addr, v).map_err(map)?;
+        v
     } else {
         let v = cpu.fget(freg(op.rd));
         bus.store32(addr, v).map_err(map)?;
-    }
+        v as u64
+    };
+    observe_mem::<OBSERVE>(info, addr, v);
     Ok(Flow::Next)
 }
 
@@ -519,25 +580,50 @@ const FP_OPS: [FpOp; 20] = [
 ];
 
 /// FP arithmetic keyed by the `aux` tag (operand evenness is validated
-/// at predecode).
+/// at predecode). With `OBSERVE`, divides and square roots record the
+/// bits of their second source operand.
 #[inline(always)]
-fn exec_fp(cpu: &mut Cpu, op: &DecodedOp) {
+fn exec_fp<const OBSERVE: bool>(cpu: &mut Cpu, op: &DecodedOp, info: &mut ExecInfo) {
     use FpOp::*;
     let (rd, rs1, rs2) = (freg(op.rd), freg(op.rs1), freg(op.rs2));
     match FP_OPS[op.aux as usize] {
         FMovS => cpu.fset(rd, cpu.fget(rs2)),
         FNegS => cpu.fset(rd, cpu.fget(rs2) ^ 0x8000_0000),
         FAbsS => cpu.fset(rd, cpu.fget(rs2) & 0x7fff_ffff),
-        FSqrtS => cpu.fset_s(rd, cpu.fget_s(rs2).sqrt()),
-        FSqrtD => cpu.fset_d(rd, cpu.fget_d(rs2).sqrt()),
+        FSqrtS => {
+            let v = cpu.fget_s(rs2);
+            if OBSERVE {
+                info.fpu_rs2_bits = Some(v.to_bits() as u64);
+            }
+            cpu.fset_s(rd, v.sqrt());
+        }
+        FSqrtD => {
+            let v = cpu.fget_d(rs2);
+            if OBSERVE {
+                info.fpu_rs2_bits = Some(v.to_bits());
+            }
+            cpu.fset_d(rd, v.sqrt());
+        }
         FAddS => cpu.fset_s(rd, cpu.fget_s(rs1) + cpu.fget_s(rs2)),
         FAddD => cpu.fset_d(rd, cpu.fget_d(rs1) + cpu.fget_d(rs2)),
         FSubS => cpu.fset_s(rd, cpu.fget_s(rs1) - cpu.fget_s(rs2)),
         FSubD => cpu.fset_d(rd, cpu.fget_d(rs1) - cpu.fget_d(rs2)),
         FMulS => cpu.fset_s(rd, cpu.fget_s(rs1) * cpu.fget_s(rs2)),
         FMulD => cpu.fset_d(rd, cpu.fget_d(rs1) * cpu.fget_d(rs2)),
-        FDivS => cpu.fset_s(rd, cpu.fget_s(rs1) / cpu.fget_s(rs2)),
-        FDivD => cpu.fset_d(rd, cpu.fget_d(rs1) / cpu.fget_d(rs2)),
+        FDivS => {
+            let b = cpu.fget_s(rs2);
+            if OBSERVE {
+                info.fpu_rs2_bits = Some(b.to_bits() as u64);
+            }
+            cpu.fset_s(rd, cpu.fget_s(rs1) / b);
+        }
+        FDivD => {
+            let b = cpu.fget_d(rs2);
+            if OBSERVE {
+                info.fpu_rs2_bits = Some(b.to_bits());
+            }
+            cpu.fset_d(rd, cpu.fget_d(rs1) / b);
+        }
         FsMulD => cpu.fset_d(rd, cpu.fget_s(rs1) as f64 * cpu.fget_s(rs2) as f64),
         FiToS => cpu.fset_s(rd, cpu.fget(rs2) as i32 as f32),
         FiToD => cpu.fset_d(rd, cpu.fget(rs2) as i32 as f64),
@@ -551,8 +637,8 @@ fn exec_fp(cpu: &mut Cpu, op: &DecodedOp) {
 /// Error for an always-trapping entry (`OpKind::Stub`), selected by
 /// `aux`. `aux = 4` marks a block-ending instruction, which must never
 /// run from the linear table: its entry (or one
-/// [`ThreadedCache::corrupt`] writes) reports the routing violation as
-/// a typed error, which the machine layer surfaces as
+/// `Machine::test_corrupt_dispatch` writes) reports the routing
+/// violation as a typed error, which the machine layer surfaces as
 /// `SimError::DispatchViolation`.
 #[cold]
 fn stub_err(op: &DecodedOp) -> ExecError {
@@ -570,47 +656,66 @@ fn stub_err(op: &DecodedOp) -> ExecError {
 }
 
 /// Executes one predecoded op: one match on its [`OpKind`] tag, with
-/// the shape-specific semantics inlined into each arm.
+/// the shape-specific semantics inlined into each arm. `OBSERVE`
+/// selects whether `info` is filled (the step path) or left untouched
+/// (the traced hot loops, where its bookkeeping compiles away). `pc`
+/// and `npc` are neither read nor written except by a guard's side
+/// exit. On a trap nothing has been committed (every executor
+/// validates before writing), so the instruction can be re-presented
+/// after recovery.
 #[inline(always)]
-fn exec_op(op: &DecodedOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecError> {
+pub(crate) fn exec_op<const OBSERVE: bool>(
+    op: &DecodedOp,
+    cpu: &mut Cpu,
+    bus: &mut Bus,
+    info: &mut ExecInfo,
+) -> Result<Flow, ExecError> {
     match op.kind {
-        OpKind::Nop => Ok(Flow::Next),
-        OpKind::Sethi => {
-            cpu.set(reg(op.rd), op.imm);
+        OpKind::Nop => {
+            if OBSERVE {
+                info.result_ones = op.imm.count_ones();
+            }
             Ok(Flow::Next)
         }
-        OpKind::AluImm => exec_alu_op(cpu, op, op.imm),
+        OpKind::Sethi => {
+            cpu.set(reg(op.rd), op.imm);
+            if OBSERVE {
+                info.result_ones = op.imm.count_ones();
+            }
+            Ok(Flow::Next)
+        }
+        OpKind::AluImm => exec_alu_op::<OBSERVE>(cpu, op, op.imm, info),
         OpKind::AluReg => {
             let b = cpu.get(reg(op.rs2));
-            exec_alu_op(cpu, op, b)
+            exec_alu_op::<OBSERVE>(cpu, op, b, info)
         }
         OpKind::LoadImm => match op.aux {
-            0 => exec_load::<0, false, true>(cpu, bus, op),
-            1 => exec_load::<1, false, true>(cpu, bus, op),
-            2 => exec_load::<2, false, true>(cpu, bus, op),
-            3 => exec_load::<3, false, true>(cpu, bus, op),
-            4 => exec_load::<0, true, true>(cpu, bus, op),
-            _ => exec_load::<1, true, true>(cpu, bus, op),
+            0 => exec_load::<0, false, true, OBSERVE>(cpu, bus, op, info),
+            1 => exec_load::<1, false, true, OBSERVE>(cpu, bus, op, info),
+            2 => exec_load::<2, false, true, OBSERVE>(cpu, bus, op, info),
+            3 => exec_load::<3, false, true, OBSERVE>(cpu, bus, op, info),
+            4 => exec_load::<0, true, true, OBSERVE>(cpu, bus, op, info),
+            _ => exec_load::<1, true, true, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::LoadReg => match op.aux {
-            0 => exec_load::<0, false, false>(cpu, bus, op),
-            1 => exec_load::<1, false, false>(cpu, bus, op),
-            2 => exec_load::<2, false, false>(cpu, bus, op),
-            3 => exec_load::<3, false, false>(cpu, bus, op),
-            4 => exec_load::<0, true, false>(cpu, bus, op),
-            _ => exec_load::<1, true, false>(cpu, bus, op),
+            0 => exec_load::<0, false, false, OBSERVE>(cpu, bus, op, info),
+            1 => exec_load::<1, false, false, OBSERVE>(cpu, bus, op, info),
+            2 => exec_load::<2, false, false, OBSERVE>(cpu, bus, op, info),
+            3 => exec_load::<3, false, false, OBSERVE>(cpu, bus, op, info),
+            4 => exec_load::<0, true, false, OBSERVE>(cpu, bus, op, info),
+            _ => exec_load::<1, true, false, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::StoreImm => match op.aux {
-            0 => exec_store::<0, true>(cpu, bus, op),
-            1 => exec_store::<1, true>(cpu, bus, op),
-            2 => exec_store::<2, true>(cpu, bus, op),
-            _ => exec_store::<3, true>(cpu, bus, op),
+            0 => exec_store::<0, true, OBSERVE>(cpu, bus, op, info),
+            1 => exec_store::<1, true, OBSERVE>(cpu, bus, op, info),
+            2 => exec_store::<2, true, OBSERVE>(cpu, bus, op, info),
+            _ => exec_store::<3, true, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::StoreReg => match op.aux {
-            0 => exec_store::<0, false>(cpu, bus, op),
-            1 => exec_store::<1, false>(cpu, bus, op),
-            2 => exec_store::<2, false>(cpu, bus, op),
-            _ => exec_store::<3, false>(cpu, bus, op),
+            0 => exec_store::<0, false, OBSERVE>(cpu, bus, op, info),
+            1 => exec_store::<1, false, OBSERVE>(cpu, bus, op, info),
+            2 => exec_store::<2, false, OBSERVE>(cpu, bus, op, info),
+            _ => exec_store::<3, false, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::GuardTaken => guard_taken::<false>(cpu, op),
         OpKind::GuardTakenAnnul => guard_taken::<true>(cpu, op),
@@ -627,6 +732,9 @@ fn exec_op(op: &DecodedOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecErr
         OpKind::RdY => {
             let y = cpu.y;
             cpu.set(reg(op.rd), y);
+            if OBSERVE {
+                info.result_ones = y.count_ones();
+            }
             Ok(Flow::Next)
         }
         OpKind::WrYImm => exec_wry::<true>(cpu, op),
@@ -636,23 +744,23 @@ fn exec_op(op: &DecodedOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecErr
         OpKind::RestoreImm => exec_restore::<true>(cpu, op),
         OpKind::RestoreReg => exec_restore::<false>(cpu, op),
         OpKind::LoadFImm => match op.aux {
-            0 => exec_loadf::<false, true>(cpu, bus, op),
-            _ => exec_loadf::<true, true>(cpu, bus, op),
+            0 => exec_loadf::<false, true, OBSERVE>(cpu, bus, op, info),
+            _ => exec_loadf::<true, true, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::LoadFReg => match op.aux {
-            0 => exec_loadf::<false, false>(cpu, bus, op),
-            _ => exec_loadf::<true, false>(cpu, bus, op),
+            0 => exec_loadf::<false, false, OBSERVE>(cpu, bus, op, info),
+            _ => exec_loadf::<true, false, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::StoreFImm => match op.aux {
-            0 => exec_storef::<false, true>(cpu, bus, op),
-            _ => exec_storef::<true, true>(cpu, bus, op),
+            0 => exec_storef::<false, true, OBSERVE>(cpu, bus, op, info),
+            _ => exec_storef::<true, true, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::StoreFReg => match op.aux {
-            0 => exec_storef::<false, false>(cpu, bus, op),
-            _ => exec_storef::<true, false>(cpu, bus, op),
+            0 => exec_storef::<false, false, OBSERVE>(cpu, bus, op, info),
+            _ => exec_storef::<true, false, OBSERVE>(cpu, bus, op, info),
         },
         OpKind::Fp => {
-            exec_fp(cpu, op);
+            exec_fp::<OBSERVE>(cpu, op, info);
             Ok(Flow::Next)
         }
         OpKind::FCmpS => {
@@ -670,7 +778,11 @@ fn exec_op(op: &DecodedOp, cpu: &mut Cpu, bus: &mut Bus) -> Result<Flow, ExecErr
     }
 }
 
-/// Runs a linear slice of the dispatch table until every op retires or
+/// Record slot for the unobserved hot loops: `exec_op::<false>` never
+/// touches it, so it compiles away.
+const UNOBSERVED: ExecInfo = ExecInfo::new(0, Instr::NOP, Category::Nop);
+
+/// Runs a linear slice of the op table until every op retires or
 /// one errors out. Returns the retired-op count and the stopping
 /// error, if any. Outlined from the machine run loop for the same
 /// register-allocation reason as [`Trace::run`].
@@ -680,8 +792,9 @@ pub(crate) fn run_ops(
     cpu: &mut Cpu,
     bus: &mut Bus,
 ) -> (usize, Option<ExecError>) {
+    let mut info = UNOBSERVED;
     for (k, op) in ops.iter().enumerate() {
-        if let Err(e) = exec_op(op, cpu, bus) {
+        if let Err(e) = exec_op::<false>(op, cpu, bus, &mut info) {
             return (k, Some(e));
         }
     }
@@ -693,8 +806,8 @@ pub(crate) fn run_ops(
 // ---------------------------------------------------------------------------
 
 /// True when `op`'s double-precision operands all name even registers
-/// (the evenness `exec_fpop` enforces at run time, hoisted to
-/// predecode; violators become an odd-pair [`OpKind::Stub`]).
+/// (SPARC V8 register pairs; violators become an odd-pair
+/// [`OpKind::Stub`], so the check never runs per retirement).
 fn fp_even_ok(op: FpOp, rd: FReg, rs1: FReg, rs2: FReg) -> bool {
     use FpOp::*;
     match op {
@@ -732,19 +845,19 @@ fn size_code(size: MemSize) -> u8 {
     }
 }
 
-/// Predecodes one instruction into its op. Shape decisions that
-/// `exec_linear` makes per retirement — operand form, width,
-/// signedness, FPU presence, register-pair evenness — are made once
-/// here and recorded in `kind` and `aux`.
-fn predecode_op(instr: Instr, pc: u32, fpu: bool) -> DecodedOp {
+/// Predecodes one instruction at `pc` into its op. Shape decisions —
+/// operand form, width, signedness, FPU presence, register-pair
+/// evenness — are made once here and recorded in `kind` and `aux`.
+/// `fpu` is the machine's FPU configuration, fixed for its lifetime.
+pub(crate) fn predecode_op(instr: Instr, pc: u32, fpu: bool) -> DecodedOp {
     let mut d = DecodedOp::at(pc, OpKind::Stub);
     d.kind = match instr {
         Instr::Sethi { rd, imm22 } => {
+            d.imm = imm22 << 10;
             if rd.is_zero() {
                 OpKind::Nop
             } else {
                 d.rd = rd.num();
-                d.imm = imm22 << 10;
                 OpKind::Sethi
             }
         }
@@ -918,48 +1031,18 @@ fn predecode_op(instr: Instr, pc: u32, fpu: bool) -> DecodedOp {
         | Instr::FBranch { .. }
         | Instr::Call { .. }
         | Instr::Jmpl { .. }
-        | Instr::Ticc { .. } => {
-            d.aux = 4;
-            OpKind::Stub
-        }
+        | Instr::Ticc { .. } => return DecodedOp::not_linear(pc),
     };
     d
 }
 
-/// Flat dispatch table: one [`DecodedOp`] per predecoded image
-/// instruction, same indexing as the image (`(pc - base) / 4`).
-#[derive(Debug)]
-pub(crate) struct ThreadedCache {
-    ops: Vec<DecodedOp>,
-}
-
-impl ThreadedCache {
-    /// Predecodes the whole image. `fpu` is the machine's FPU
-    /// configuration, which is fixed for the machine's lifetime.
-    pub fn build(code: &[(Instr, Category)], base: u32, fpu: bool) -> Self {
-        let ops = code
-            .iter()
-            .enumerate()
-            .map(|(i, &(instr, _))| predecode_op(instr, base.wrapping_add((i as u32) * 4), fpu))
-            .collect();
-        ThreadedCache { ops }
-    }
-
-    pub fn ops(&self) -> &[DecodedOp] {
-        &self.ops
-    }
-
-    /// Test hook: overwrites entry `index` with the routing-violation
-    /// stub, simulating a corrupted dispatch table. The machine must
-    /// surface execution of it as `SimError::DispatchViolation`, not a
-    /// panic.
-    pub fn corrupt(&mut self, index: usize) {
-        let pc = self.ops[index].pc;
-        self.ops[index] = DecodedOp {
-            aux: 4,
-            ..DecodedOp::at(pc, OpKind::Stub)
-        };
-    }
+/// The op table of an image: one [`DecodedOp`] per instruction, same
+/// indexing as the image (`(pc - base) / 4`).
+pub(crate) fn predecode_table(code: &[(Instr, Category)], base: u32, fpu: bool) -> Vec<DecodedOp> {
+    code.iter()
+        .enumerate()
+        .map(|(i, &(instr, _))| predecode_op(instr, base.wrapping_add((i as u32) * 4), fpu))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,8 +1106,9 @@ impl Trace {
     /// (large) run loop measurably degrades its register allocation.
     #[inline(never)]
     pub fn run(&self, cpu: &mut Cpu, bus: &mut Bus) -> TraceHalt {
+        let mut info = UNOBSERVED;
         for (k, op) in self.ops.iter().enumerate() {
-            match exec_op(op, cpu, bus) {
+            match exec_op::<false>(op, cpu, bus, &mut info) {
                 Ok(Flow::Next) => {}
                 Ok(Flow::Exit) => return TraceHalt::Exited { retired: k + 1 },
                 Err(err) => return TraceHalt::Trapped { at: k, err },
@@ -1390,9 +1474,9 @@ mod tests {
         a.ta(0);
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
+        let table = predecode_table(&code, 0x4000_0000, true);
         // Head at the loop body (index 1, the backward target).
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 1);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 1);
         let TraceSlot::Present(trace) = slot else {
             panic!("backward loop must form a trace, got {slot:?}");
         };
@@ -1413,8 +1497,8 @@ mod tests {
         a.ta(0);
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 0);
+        let table = predecode_table(&code, 0x4000_0000, true);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 0);
         assert!(matches!(slot, TraceSlot::Absent), "got {slot:?}");
     }
 
@@ -1426,8 +1510,8 @@ mod tests {
         a.b_a(ICond::A, "spin");
         let code = predecode(&a.finish().unwrap());
         let blocks = BlockCache::build(&code);
-        let tc = ThreadedCache::build(&code, 0x4000_0000, true);
-        let slot = build_trace(&code, 0x4000_0000, &blocks, tc.ops(), true, 0);
+        let table = predecode_table(&code, 0x4000_0000, true);
+        let slot = build_trace(&code, 0x4000_0000, &blocks, &table, true, 0);
         let TraceSlot::Present(trace) = slot else {
             panic!("self-loop must form a trace");
         };

@@ -90,15 +90,16 @@ proptest! {
     // A corrupted dispatch-table entry (a linear instruction whose
     // entry claims it is a block ender) must surface as the typed
     // `SimError::DispatchViolation` — never a panic and never a
-    // silently wrong run — whether the traced path hits it through
-    // the flat table or mid-superblock.
+    // silently wrong run — whether the step path executes it, or the
+    // traced path hits it through the flat table or mid-superblock.
     #[test]
     fn corrupted_dispatch_entries_never_panic(
         words in prop::collection::vec(any::<u32>(), 4..64),
         index in 0usize..64,
+        dispatch in any_dispatch(),
         recover in any::<bool>(),
     ) {
-        let mut m = small_machine(Dispatch::Traced, recover, true);
+        let mut m = small_machine(dispatch, recover, true);
         m.load_image(RAM_BASE, &words).expect("image loads");
         let corrupted = m.test_corrupt_dispatch(index % words.len());
         let wd = Watchdog { max_instrs: 5_000, wall: Some(Duration::from_secs(5)) };

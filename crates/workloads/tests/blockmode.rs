@@ -6,7 +6,7 @@
 //! and RAM contents.
 
 use nfp_cc::FloatMode;
-use nfp_sim::fault::{inject, plan, undo, FaultSpace};
+use nfp_sim::fault::{inject, plan, undo, Fault, FaultSpace};
 use nfp_sim::machine::TrapPolicy;
 use nfp_sim::{Dispatch, Machine, RAM_BASE};
 use nfp_workloads::synth::{random_program, ProgramShape};
@@ -107,8 +107,45 @@ fn assert_synthetic_agrees(
     Ok(())
 }
 
+/// Injects `faults` at the machine's current instant if the replay up to
+/// it (`pre`) succeeded, finishes the run, undoes the code patches, and
+/// folds the outcome and the final state into a comparable tuple.
+fn finish_faulted(
+    m: &mut Machine,
+    pre: String,
+    faults: &[Fault],
+) -> (String, String, u64, String, String, String) {
+    let mut armed = Vec::new();
+    if pre == "Ok(())" {
+        for f in faults {
+            armed.push(inject(m, f).expect("in-bounds injection"));
+        }
+    }
+    let res = m.run(5_000);
+    for a in &armed {
+        undo(m, a).expect("undo patches back");
+    }
+    (
+        pre,
+        format!("{res:?}"),
+        m.instret(),
+        format!("{:?}", m.counts()),
+        format!("{:?}", m.cpu),
+        format!("{:?}", m.bus.snapshot_ram()),
+    )
+}
+
+/// Cases per property: 48, or `PROPTEST_CASES` when it is set (the CI
+/// fuzz job raises it).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Random straight-line programs: every instruction is batchable,
     /// so this pins the flat-table accounting path
@@ -144,12 +181,19 @@ proptest! {
     /// branchy loop), inject a planned fault at the split point, and
     /// finish the run. Campaign replays must be bit-identical no
     /// matter which dispatch mode executes either half.
+    ///
+    /// A second fault B then checks rig reuse, where a code fault's
+    /// in-place op-table patch and its undo must leave no trace: a
+    /// warm rig that runs fault A, undoes it, restores the split-point
+    /// checkpoint and runs B must end exactly like a freshly booted
+    /// rig that runs only B, under every dispatch mode.
     #[test]
     fn faults_mid_superblock_agree(
         body in 8usize..80,
         seed in 0u64..10_000,
         split in 1u64..2_000,
         fault_seed in 0u64..10_000,
+        fault_seed_b in 0u64..10_000,
     ) {
         let words = random_program(body, seed, ProgramShape::Branchy).expect("program");
         let space = FaultSpace {
@@ -159,34 +203,32 @@ proptest! {
             fp: true,
         };
         let faults = plan(&space, 1, fault_seed);
-        let observe_faulted = |dispatch: Dispatch| {
+        let faults_b = plan(&space, 1, fault_seed_b);
+        // First half: stop exactly at the flip instant, even if it
+        // lands inside a superblock.
+        let boot_at_split = |dispatch: Dispatch| {
             let mut m = boot_synthetic(&words, TrapPolicy::Recover);
             m.set_dispatch(dispatch);
-            // First half: stop exactly at the flip instant, even if it
-            // lands inside a superblock.
             let pre = format!("{:?}", m.run_until(split));
-            let mut armed = Vec::new();
-            if pre == "Ok(())" {
-                for f in &faults {
-                    armed.push(inject(&mut m, f).expect("in-bounds injection"));
-                }
-            }
-            let res = m.run(5_000);
-            for a in &armed {
-                undo(&mut m, a).expect("undo patches back");
-            }
-            (
-                pre,
-                format!("{res:?}"),
-                m.instret(),
-                format!("{:?}", m.counts()),
-                format!("{:?}", m.cpu),
-                format!("{:?}", m.bus.snapshot_ram()),
-            )
+            (m, pre)
+        };
+        let observe_faulted = |dispatch: Dispatch| {
+            let (mut m, pre) = boot_at_split(dispatch);
+            finish_faulted(&mut m, pre, &faults)
         };
         let stepped = observe_faulted(Dispatch::Step);
         for dispatch in Dispatch::ALL {
             prop_assert_eq!(&stepped, &observe_faulted(dispatch), "{} diverged", dispatch);
+        }
+        for dispatch in Dispatch::ALL {
+            let (mut warm, pre) = boot_at_split(dispatch);
+            let cp = warm.checkpoint();
+            finish_faulted(&mut warm, pre.clone(), &faults);
+            warm.restore(&cp);
+            let reused = finish_faulted(&mut warm, pre, &faults_b);
+            let (mut fresh, pre) = boot_at_split(dispatch);
+            let fresh = finish_faulted(&mut fresh, pre, &faults_b);
+            prop_assert_eq!(&reused, &fresh, "{}: warm rig diverged from a fresh one", dispatch);
         }
     }
 }
